@@ -436,6 +436,15 @@ class Fabric:
     # ------------------------------------------------------------------
     # Issue path
     # ------------------------------------------------------------------
+    @property
+    def default_root(self) -> Optional[str]:
+        """The root single-switch in-network collectives are admitted
+        on, as last chosen (None before the first one).  It moves off
+        a failed switch at the next plan and stays moved after the
+        repair, so admission state derived under one root is stale
+        under another."""
+        return self._default_root
+
     def _aggregation_root(self) -> str:
         """Resource key for single-switch in-network collectives: the
         root the fabric's default aggregation tree would use (re-planned
@@ -505,6 +514,23 @@ class Fabric:
             **extra,
         )
 
+    def admission_footprint(
+        self, plan: CollectivePlan, tenant: Optional[str] = None
+    ) -> tuple:
+        """``(switches, tenant, memory_bytes)``: everything admission
+        checks for ``plan`` (``NetworkManager.check(switches,
+        tenant=..., memory_bytes=...)``).  A plan that needs no
+        admission has the empty footprint ``((), None, 0.0)``, which
+        always fits.  The footprint holds while the topology's failure
+        state does; after a fault or repair, re-derive it."""
+        if not plan.caps.in_network:
+            return ((), None, 0.0)
+        return (
+            self._admission_switches(plan),
+            tenant,
+            float(plan.request.nbytes),
+        )
+
     def would_admit(
         self, plan: CollectivePlan, tenant: Optional[str] = None
     ) -> "AdmissionError | None":
@@ -516,12 +542,9 @@ class Fabric:
         is reserved — a subsequent :meth:`issue` re-runs the real
         check-and-commit path.
         """
-        if not plan.caps.in_network:
-            return None
+        switches, tenant, memory_bytes = self.admission_footprint(plan, tenant)
         return self.manager.check(
-            self._admission_switches(plan),
-            tenant=tenant,
-            memory_bytes=float(plan.request.nbytes),
+            switches, tenant=tenant, memory_bytes=memory_bytes
         )
 
     def on_pool_release(self, callback) -> None:

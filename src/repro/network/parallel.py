@@ -1106,7 +1106,9 @@ class ShardedNetworkSimulator(NetworkSimulator):
                 queue = self._queues[key] = _LinkQueue(self.topology.link(*key))
             queue.vtime = vtime
             for enc, tag in tags.items():
-                queue.finish_tag[self._flow_by_enc[enc]] = tag
+                flow = self._flow_by_enc[enc]
+                self._tag_flow(queue.finish_tag, flow)
+                queue.finish_tag[flow] = tag
             for start, _seq, mid, node_idx, meta in sorted(
                 entries, key=lambda e: (e[0], e[1])
             ):

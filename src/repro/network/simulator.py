@@ -219,6 +219,11 @@ class NetworkSimulator:
         self._interceptors: dict[NodeId, Interceptor] = {}
         self._deliver_cb: dict[tuple, Callable[[Message, float], None]] = {}
         self._queues: dict[tuple, _LinkQueue] = {}
+        #: flow -> nodes with a delivery callback for it, and flow ->
+        #: WFQ finish-tag dicts holding a tag for it, so tearing a flow
+        #: down touches only its own entries.
+        self._flow_nodes: dict[object, list] = {}
+        self._flow_tags: dict[object, list] = {}
         self._queue_seq = 0
         #: Per-switch store-and-forward processing overhead (ns) applied
         #: when an interceptor re-emits; plain forwarding relies on link
@@ -261,7 +266,10 @@ class NetworkSimulator:
         has no registration falls back to the node's flow-``None``
         callback, so single-flow callers need not tag anything.
         """
-        self._deliver_cb[(node, flow)] = callback
+        key = (node, flow)
+        if key not in self._deliver_cb:
+            self._flow_nodes.setdefault(flow, []).append(node)
+        self._deliver_cb[key] = callback
 
     def intercept(self, node: NodeId, interceptor: Interceptor) -> None:
         """Install an in-network processing hook at a switch node."""
@@ -281,10 +289,16 @@ class NetworkSimulator:
         stats always remain)."""
         self._flow_weight.pop(flow, None)
         self._flow_traffic.pop(flow, None)
-        for key in [k for k in self._deliver_cb if k[1] == flow]:
-            del self._deliver_cb[key]
-        for queue in self._queues.values():
-            queue.finish_tag.pop(flow, None)
+        for node in self._flow_nodes.pop(flow, ()):
+            del self._deliver_cb[(node, flow)]
+        for tags in self._flow_tags.pop(flow, ()):
+            del tags[flow]
+
+    def _tag_flow(self, tags: dict, flow: object) -> None:
+        """Index a flow about to get its first finish tag in ``tags``
+        (a link queue's ``finish_tag``) for :meth:`remove_flow`."""
+        if flow not in tags:
+            self._flow_tags.setdefault(flow, []).append(tags)
 
     def abandon_flow(self, flow: object) -> None:
         """Drop a flow's callbacks *and* its in-flight traffic.
@@ -552,10 +566,11 @@ class NetworkSimulator:
         weight = self._flow_weight.get(flow, 1.0)
         link = queue.link
         now = self.sim.now
+        finish_tag = queue.finish_tag
+        self._tag_flow(finish_tag, flow)
         if self.fast_path and not queue.heap and link.busy_until <= now:
             # Uncontended instant: serve immediately with the same WFQ
             # tag updates a push+pop pair would apply (exact bypass).
-            finish_tag = queue.finish_tag
             start = finish_tag.get(flow, 0.0)
             vtime = queue.vtime
             if vtime > start:

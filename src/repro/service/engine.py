@@ -130,6 +130,8 @@ class FabricService:
         #: while a modeled collective is still occupying wire time.
         self._inflight_iterations = 0
         self._draining = False
+        #: The last failure token handed out (see _failure_token).
+        self._token: Optional[tuple] = None
         fabric.on_pool_release(self._on_pool_release)
 
     # ------------------------------------------------------------------
@@ -374,23 +376,70 @@ class FabricService:
             rejection is not None
             and getattr(rejection, "resource", None) in QUEUEABLE_RESOURCES
         ):
-            job.status = "queued"
-            cls = self.workload.classes[job.tenant_class]
-            self.queue.push(
-                job,
-                tenant_class=job.tenant_class,
-                weight=cls.weight,
-                now=self.fabric.now,
-                reason=rejection.resource,
-            )
+            self._park(job, rejection.resource, plan)
             self.queue.sample_depth()
             return
         self._issue(job, queued_ns=None)
 
-    def _admittable(self, job: Job) -> bool:
+    def _park(self, job: Job, reason: str, plan=None) -> None:
+        """Queue ``job``'s iteration, stamped with its admission
+        footprint so retries probe the pools without re-planning."""
+        job.status = "queued"
+        cls = self.workload.classes[job.tenant_class]
+        # Derive first: deriving can move the default root the token
+        # records.
+        footprint = self._footprint(job, plan)
+        self.queue.push(
+            job,
+            tenant_class=job.tenant_class,
+            weight=cls.weight,
+            now=self.fabric.now,
+            reason=reason,
+            footprint=footprint,
+            token=self._failure_token(),
+        )
+
+    def _footprint(self, job: Job, plan=None) -> tuple:
+        """What admitting ``job``'s iteration checks (planning it when
+        no ``plan`` is given)."""
         comm = self._comms[job.tenant_class]
-        plan = comm.plan(nbytes=job.nbytes, **self._request_kwargs(job))
-        return self.fabric.would_admit(plan, tenant=comm.name) is None
+        if plan is None:
+            plan = comm.plan(nbytes=job.nbytes, **self._request_kwargs(job))
+        return self.fabric.admission_footprint(plan, tenant=comm.name)
+
+    def _failure_token(self) -> tuple:
+        """The failure state footprints are derived under: a fault or
+        repair can re-root a tree, and the fabric's default aggregation
+        root moves off a failed switch and stays moved after the
+        repair, so a footprint stamped under another token is stale.
+        Equal tokens are shared, so comparing a current stamp is an
+        identity check."""
+        token = (
+            self.fabric.topology.live_fingerprint(),
+            frozenset(self.fabric.manager.dead_switches()),
+            self.fabric.default_root,
+        )
+        if token != self._token:
+            self._token = token
+        return self._token
+
+    def _restamp(self, token: tuple) -> None:
+        """Re-derive the stale footprints the next scan can probe: the
+        head only under FIFO (a re-plan has side effects — plan-cache
+        recency, the fabric's default root — so entries a scan never
+        probes are left alone), every entry under WFQ."""
+        for entry in self.queue:
+            if entry.token != token:
+                entry.key = self._footprint(entry.job)
+                entry.token = token
+            if self.queue.policy == "fifo":
+                break
+
+    def _fits(self, footprint: tuple) -> bool:
+        switches, tenant, memory_bytes = footprint
+        return self.fabric.manager.check(
+            switches, tenant=tenant, memory_bytes=memory_bytes
+        ) is None
 
     def _issue(self, job: Job, queued_ns: Optional[float]) -> None:
         comm = self._comms[job.tenant_class]
@@ -406,15 +455,7 @@ class FabricService:
         except AdmissionError as exc:
             # The probe and the issue disagree (e.g. a fault landed in
             # between inside this same timestamp): park and retry.
-            job.status = "queued"
-            cls = self.workload.classes[job.tenant_class]
-            self.queue.push(
-                job,
-                tenant_class=job.tenant_class,
-                weight=cls.weight,
-                now=now,
-                reason=getattr(exc, "resource", "unknown"),
-            )
+            self._park(job, getattr(exc, "resource", "unknown"))
             return
         self._inflight_iterations += 1
         future.add_done_callback(
@@ -463,19 +504,27 @@ class FabricService:
     def _on_pool_release(self) -> None:
         """Pool resources freed: retry queued iterations, fair order.
 
+        Each scan probes the pools once per distinct footprint; only
+        footprints stamped under another failure state are re-planned.
+
         Re-entrancy guard: issuing a dequeued job can release/acquire
         resources itself; one drain loop at a time."""
         if self._draining or not len(self.queue):
             return
         self._draining = True
         try:
+            # Under WFQ one restamp serves the whole drain: entries
+            # parked again while it runs are stamped fresh.  Under FIFO
+            # each pop exposes a new head to check.
+            token = self._failure_token()
+            self._restamp(token)
             while True:
-                entry = self.queue.pop_admittable(
-                    self._admittable, self.fabric.now
-                )
+                entry = self.queue.pop_admittable(self._fits, self.fabric.now)
                 if entry is None:
                     break
                 self._issue(entry.job, queued_ns=entry.enqueued_ns)
+                if self.queue.policy == "fifo":
+                    self._restamp(token)
         finally:
             self._draining = False
         self.queue.sample_depth()

@@ -19,20 +19,41 @@ Two dequeue disciplines:
   nbytes / weight`` at enqueue, and the *admittable* entry with the
   smallest vft dequeues first.  Heavy classes drain proportionally
   faster; light classes still make progress (their vft grows slower
-  per byte, so they cannot be starved by a firehose class).
+  per byte, so they cannot be starved by a firehose class).  The
+  waiting list is kept sorted by ``(vft, seq)`` at push, so a scan
+  never re-sorts.
+
+Entries may carry an admission *footprint* (a hashable stamp of what
+the pool check reads: switches, tenant, bytes).  One
+:meth:`AdmissionQueue.pop_admittable` call probes each distinct
+footprint once: probes do not mutate the pools, so every entry sharing
+a footprint gets the same answer within one scan.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Callable, Optional
 
 
 class QueuedJob:
-    """One iteration waiting for admission."""
+    """One iteration waiting for admission.
 
-    __slots__ = ("job", "tenant_class", "weight", "enqueued_ns", "vft", "seq", "reason")
+    ``key`` is what :meth:`AdmissionQueue.pop_admittable` probes for
+    this entry: the footprint it was pushed with, or else the job
+    itself.  ``token`` is the failure state a footprint was derived
+    under, so its owner can tell when to re-derive it.
+    """
 
-    def __init__(self, job, tenant_class, weight, enqueued_ns, vft, seq, reason):
+    __slots__ = (
+        "job", "tenant_class", "weight", "enqueued_ns", "vft", "seq",
+        "reason", "key", "token",
+    )
+
+    def __init__(
+        self, job, tenant_class, weight, enqueued_ns, vft, seq, reason,
+        footprint=None, token=None,
+    ):
         self.job = job
         self.tenant_class = tenant_class
         self.weight = weight
@@ -40,6 +61,12 @@ class QueuedJob:
         self.vft = vft
         self.seq = seq
         self.reason = reason
+        self.key = job if footprint is None else footprint
+        self.token = token
+
+
+def _wfq_key(entry: QueuedJob) -> tuple:
+    return (entry.vft, entry.seq)
 
 
 class AdmissionQueue:
@@ -49,6 +76,8 @@ class AdmissionQueue:
         if policy not in ("fifo", "wfq"):
             raise ValueError(f"unknown queue policy {policy!r}")
         self.policy = policy
+        #: Waiting entries in probe order: arrival order under FIFO,
+        #: ``(vft, seq)`` order under WFQ.
         self._items: list[QueuedJob] = []
         self._seq = 0
         self._class_vft: dict[str, float] = {}
@@ -65,21 +94,35 @@ class AdmissionQueue:
     def __len__(self) -> int:
         return len(self._items)
 
+    def __iter__(self):
+        """Waiting entries in probe order (FIFO: arrival; WFQ: vft)."""
+        return iter(self._items)
+
     @property
     def depth(self) -> int:
         return len(self._items)
 
     def push(
-        self, job, *, tenant_class: str, weight: float, now: float, reason: str
+        self, job, *, tenant_class: str, weight: float, now: float,
+        reason: str, footprint=None, token=None,
     ) -> None:
         """Park one iteration; its virtual finish time is stamped at
-        enqueue (start-time fairness: waiting accrues no extra credit)."""
+        enqueue (start-time fairness: waiting accrues no extra credit).
+
+        ``footprint`` (hashable) is what :meth:`pop_admittable` probes
+        for this entry, and ``token`` the failure state it was derived
+        under; without a footprint the job itself is probed."""
         vft = max(self._class_vft.get(tenant_class, 0.0), self._vnow)
         vft += float(job.nbytes) / weight
         self._class_vft[tenant_class] = vft
-        self._items.append(
-            QueuedJob(job, tenant_class, weight, now, vft, self._seq, reason)
+        entry = QueuedJob(
+            job, tenant_class, weight, now, vft, self._seq, reason,
+            footprint, token,
         )
+        if self.policy == "fifo":
+            self._items.append(entry)
+        else:
+            insort(self._items, entry, key=_wfq_key)
         self._seq += 1
         self.enqueued += 1
         self.reason_counts[reason] = self.reason_counts.get(reason, 0) + 1
@@ -89,21 +132,28 @@ class AdmissionQueue:
     ) -> Optional[QueuedJob]:
         """Dequeue the next entry whose admission check passes.
 
-        ``admittable(job) -> bool`` probes the pools without reserving.
-        FIFO only ever examines the head (head-of-line blocking is the
-        policy); WFQ scans every waiting entry in virtual-finish order
-        and takes the first admittable one.  Returns ``None`` when
-        nothing can be admitted right now.
+        ``admittable(entry.key) -> bool`` probes the pools without
+        reserving.  FIFO only ever examines the head (head-of-line
+        blocking is the policy); WFQ scans the waiting entries in
+        virtual-finish order and takes the first admittable one,
+        probing each distinct footprint once per call.  Returns
+        ``None`` when nothing can be admitted right now.
         """
-        if not self._items:
+        items = self._items
+        if not items:
             return None
-        if self.policy == "fifo":
-            candidates = [self._items[0]]
-        else:
-            candidates = sorted(self._items, key=lambda q: (q.vft, q.seq))
-        for entry in candidates:
-            if admittable(entry.job):
-                self._items.remove(entry)
+        candidates = items[:1] if self.policy == "fifo" else items
+        answers: dict = {}
+        for i, entry in enumerate(candidates):
+            key = entry.key
+            if key is entry.job:
+                ok = admittable(key)
+            else:
+                ok = answers.get(key)
+                if ok is None:
+                    ok = answers[key] = admittable(key)
+            if ok:
+                del items[i]
                 self._vnow = max(self._vnow, entry.vft)
                 self.dequeued += 1
                 self.wait_samples_ns.append(now - entry.enqueued_ns)
@@ -114,14 +164,16 @@ class AdmissionQueue:
         self.depth_samples.append(len(self._items))
 
     def waiting(self) -> list[QueuedJob]:
-        return list(self._items)
+        """Waiting entries in arrival (``seq``) order."""
+        return sorted(self._items, key=lambda q: q.seq)
 
     # ------------------------------------------------------------------
     # Crash-consistent checkpointing (JSON-safe state)
     # ------------------------------------------------------------------
     def to_state(self) -> dict:
         """Queue contents and fairness state, keyed by job id (the
-        jobs themselves are re-derived from the workload on resume)."""
+        jobs themselves are re-derived from the workload on resume, and
+        footprints are re-stamped by their owner)."""
         return {
             "policy": self.policy,
             "seq": self._seq,
@@ -137,7 +189,7 @@ class AdmissionQueue:
                     "seq": q.seq,
                     "reason": q.reason,
                 }
-                for q in self._items
+                for q in self.waiting()
             ],
             "enqueued": self.enqueued,
             "dequeued": self.dequeued,
@@ -165,6 +217,8 @@ class AdmissionQueue:
             )
             for e in state["entries"]
         ]
+        if self.policy == "wfq":
+            self._items.sort(key=_wfq_key)
         self.enqueued = int(state["enqueued"])
         self.dequeued = int(state["dequeued"])
         self.wait_samples_ns = [float(x) for x in state["wait_samples_ns"]]

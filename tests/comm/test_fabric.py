@@ -328,6 +328,9 @@ def test_finished_flows_leave_no_link_queue_state():
     fabric.run()
     assert all(not q.heap for q in fabric.net._queues.values())
     assert all(not q.finish_tag for q in fabric.net._queues.values())
+    assert not fabric.net._deliver_cb
+    # The per-flow teardown indexes drain with the state they index.
+    assert not fabric.net._flow_tags and not fabric.net._flow_nodes
     assert not fabric.net._flow_weight
     assert not fabric.net._flow_traffic   # per-collective stats freed too
     # ... while the results kept their own traffic snapshots.
