@@ -664,7 +664,8 @@ def main(argv: list[str] | None = None) -> int:
                        "with N worker processes (routes through the shared "
                        "fabric; degradation events are printed). With the "
                        "'simcore' pseudo-algorithm: cap its shard sweep at "
-                       "N workers (default 1/2/4/8; 0 skips it)")
+                       "N workers (default 1/2/4/8, plus the in-process "
+                       "engine; 0 skips the sweep)")
     bench.add_argument("--max-retransmits", type=int, default=None,
                        metavar="N",
                        help="end-to-end retransmission budget per message "

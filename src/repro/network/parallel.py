@@ -2,10 +2,20 @@
 
 This is the execution half of the sharded engine (planning lives in
 ``repro.network.shard``, engine selection in ``repro.pspin.pdes``).
-The fabric graph is partitioned into shards pinned to forked worker
-processes; the coordinator process keeps the driver loop, the
-collectives' callbacks, and every ``Message`` object, while workers
-simulate transport through their region of the fabric.
+The fabric graph is partitioned into shards; the coordinator keeps the
+driver loop, the collectives' callbacks, and every ``Message`` object,
+while shard runtimes simulate transport through their region of the
+fabric.  With ``workers >= 1`` each shard runs in a forked worker
+process behind a pipe.  The ``workers=0`` engine runs its one FIFO
+shard in the coordinator process behind a loopback connection with
+the same ``send``/``recv`` seam (:class:`_LocalConn`): same barrier
+protocol, no fork, no pipe, no heartbeat, no checkpoint shipping —
+nothing can crash separately.  That shard shares the coordinator's
+``Topology``/``Link`` objects instead of owning a copy-on-write copy,
+so it never replays topology mutations itself, and anything that would
+make it mutate them (armed faults) or see messages mid-path
+(interceptors) keeps the run on the per-event path.  It is planned at
+its first barrier, not at construction.
 
 Design in five invariants
 -------------------------
@@ -72,10 +82,21 @@ Design in five invariants
    degradation event instead of hanging.  ``REPRO_SUPERVISE=detect``
    keeps detection but fails fast; ``off`` restores blocking receives.
 
-Determinism: batches are sorted by ``(time, mid)`` before scheduling
-(mid is the coordinator-assigned creation order), worker replies are
-merged in shard order, and the spine hash is process-stable — same
-inputs, same event order, every run.  Serialization chains replicate
+Determinism: batches are sorted by ``(time, key, mid)`` before
+scheduling, worker replies are merged in shard order, and the spine
+hash is process-stable — same inputs, same event order, every run.
+``key`` reproduces the per-event heap's tie-break among same-instant
+arrivals, which is scheduling order: a vector worker numbers the rows
+it executes in ``(time, key, mid)`` order, and a row's key is the
+number of the execution that scheduled it.  Rows the coordinator
+schedules carry the number of the delivery whose callback scheduled
+them, or else an odd key placing the scheduling event among the shard
+executions of its window: after those before its instant, ahead of
+those at it, like an arrival scheduled before the run (key -1 before
+the first window; rows with equal keys tie by ``mid``, their creation
+order).  With one shard this is exactly the heap's order for transport
+and delivery callbacks; across shards, ties are deterministic but not
+heap-exact.  Serialization chains replicate
 ``Link.transmit``'s float operations exactly, so delivery timestamps
 are bit-identical to the sequential engine's.
 """
@@ -88,13 +109,16 @@ import os
 import time as _walltime
 import traceback
 import warnings
-from multiprocessing import get_context
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
 from repro.network.faults import _HASH_SPAN, FaultInjector
 from repro.network.routing import Router
-from repro.network.shard import ShardPlan, updown_next_hop_vec
+from repro.network.shard import (
+    COORDINATOR, ShardingError, ShardPlan, plan_shards, updown_next_hop_vec,
+)
 from repro.network.simulator import (
     Message, NetworkSimulator, UnreachableError, _LinkQueue,
 )
@@ -105,15 +129,22 @@ from repro.utils.rngtools import stable_hash
 _INF = float("inf")
 
 # Crossing-batch column order (struct of arrays):
-# time f8, mid i8, node i8, src i8, dst i8, nbytes f8, flow i8, meta i8.
-# ``meta`` packs reliability state: bit 0 = ephemeral duplicate, bit 1 =
-# retransmit event (fires at the source host), bits 2+ = retry count.
-# It is all zeros outside fault runs.  Delivery batches carry
-# (time, mid, node, meta) only.
+# time f8, mid i8, node i8, src i8, dst i8, nbytes f8, flow i8, meta i8,
+# key i8.  ``meta`` packs reliability state: bit 0 = ephemeral
+# duplicate, bit 1 = retransmit event (fires at the source host), bits
+# 2+ = retry count.  It is all zeros outside fault runs.  ``key`` is the
+# same-instant tie-break (see the module docstring).  Delivery batches
+# carry (time, mid, node, meta, key) only: in both kinds the key is the
+# last column.
 _BATCH_DTYPES = (
     np.float64, np.int64, np.int64, np.int64, np.int64, np.float64,
-    np.int64, np.int64,
+    np.int64, np.int64, np.int64,
 )
+
+#: Key of rows with no scheduling rank: scheduled before the first
+#: barrier, or by a per-event (WFQ) shard, where ``mid`` alone orders
+#: ties.
+_UNRANKED = -1
 
 _META_EPHEMERAL = 1
 _META_RETRANSMIT = 2
@@ -142,8 +173,20 @@ def _mask_batch(batch: tuple, mask: np.ndarray) -> tuple:
 
 
 def _sort_batch(batch: tuple) -> tuple:
-    order = np.lexsort((batch[1], batch[0]))  # time-major, mid tie-break
+    # time-major, then scheduling key, then mid (creation order).
+    order = np.lexsort((batch[1], batch[-1], batch[0]))
     return tuple(col[order] for col in batch)
+
+
+def _batch_arrivals(batch: tuple | None) -> list[tuple]:
+    """Crossing rows as recall arrivals ``(time, key, mid, node,
+    meta)``; sorting them gives scheduling order."""
+    if batch is None:
+        return []
+    return list(zip(
+        batch[0].tolist(), batch[-1].tolist(), batch[1].tolist(),
+        batch[2].tolist(), batch[7].tolist(),
+    ))
 
 
 def _msg_meta(msg: Message) -> int:
@@ -157,6 +200,21 @@ class _WorkerDied(Exception):
         super().__init__(f"shard worker {worker}: {reason}")
         self.worker = worker
         self.reason = reason
+
+
+class _OneShardOwners(dict):
+    """Owner table of an in-process engine before its plan exists: a
+    one-shard plan owns every switch, and every host unless hosts stay
+    with the coordinator (``plan_shards(topology, 1, ...)``)."""
+
+    def __init__(self, topology: Topology, coordinator_hosts: bool) -> None:
+        super().__init__()
+        self._is_switch = topology.is_switch
+        self._hosts = COORDINATOR if coordinator_hosts else 0
+
+    def __missing__(self, node: NodeId) -> int:
+        owner = self[node] = 0 if self._is_switch(node) else self._hosts
+        return owner
 
 
 class _CoordinatorFaultInjector(FaultInjector):
@@ -201,7 +259,10 @@ class ShardedNetworkSimulator(NetworkSimulator):
 
     Construct through ``repro.pspin.pdes.build_engine`` (which plans
     the shards and handles graceful fallback); ``sim`` must be a
-    :class:`~repro.pspin.pdes.ShardedSimulator`.
+    :class:`~repro.pspin.pdes.ShardedSimulator`.  ``in_process`` runs
+    one shard in this process instead of forked workers
+    (``build_engine(workers=0)``); it takes no ``plan`` but plans
+    itself, with ``coordinator_hosts``, at its first barrier.
     """
 
     _fault_injector_cls = _CoordinatorFaultInjector
@@ -214,32 +275,47 @@ class ShardedNetworkSimulator(NetworkSimulator):
         sim: Simulator | None = None,
         arbitration: str = "fifo",
         plan: ShardPlan | None = None,
+        in_process: bool = False,
+        coordinator_hosts: bool = True,
     ) -> None:
-        if plan is None:
-            raise ValueError("ShardedNetworkSimulator requires a ShardPlan")
+        if (plan is None) != in_process:
+            raise ValueError(
+                "ShardedNetworkSimulator needs a ShardPlan, or in_process "
+                "(which plans itself)"
+            )
         super().__init__(
             topology, router=router, routing_seed=routing_seed,
             sim=sim, arbitration=arbitration,
         )
         if not hasattr(self.sim, "attach_coupler"):
             raise TypeError("sharded engine needs a ShardedSimulator")
-        self._plan = plan
-        self._index = plan.index
-        self.window = plan.lookahead
+        self.in_process = in_process
         self.engaged = True
         self._forked = False
         self._suspend_reason: str | None = None
         self._procs: list = []
         self._conns: list = []
         # name -> owner (int; -1 coordinator) for the hot path.
-        self._owner = {
-            name: int(plan.index.owner[i])
-            for i, name in enumerate(plan.index.names)
-        }
-        self._owner_arr = plan.index.owner
+        self._plan: ShardPlan | None = None
+        if plan is not None:
+            self._adopt_plan(plan)
+        else:
+            self._coordinator_hosts = coordinator_hosts
+            self._owner = _OneShardOwners(topology, coordinator_hosts)
+        # Before the first barrier (in process): (time, msg, node, seq)
+        # of arrivals at shard-owned nodes, each holding the heap
+        # sequence number its ``schedule_fast`` would have taken.
+        self._unplanned: list[tuple] = []
         # Parked originals and message ids.
         self._parked: dict[int, Message] = {}
         self._next_mid = 1
+        # Scheduling key of the rows a bounced delivery's callback
+        # offloads (its shard's number for the delivery); None outside
+        # one, where _placement_key applies.
+        self._offload_key: int | None = None
+        # Per shard, (number of its first execution, times of its
+        # executions in number order) for the last granted window.
+        self._shard_execs: list[tuple] = []
         # Undelivered cross-shard rows (hub relay).
         self._pending_rows: list[tuple] = []
         self._pending_batches: list[tuple] = []
@@ -255,9 +331,9 @@ class ShardedNetworkSimulator(NetworkSimulator):
         # flush/recall, max-merged (integer maxima are order-free, so
         # this matches a sequential run bitwise).
         self._shard_queue_peaks: dict[tuple, int] = {}
-        # Control-op log broadcast with each grant.
+        # Control ops for the next grant.  Only live workers need them:
+        # a worker starts from the coordinator's state.
         self._ctl: list[tuple] = []
-        self._ctl_sent = 0
         # Flow <-> integer encoding shared with workers.
         self._flow_enc_map: dict = {None: 0}
         self._flow_by_enc: dict = {0: None}
@@ -274,7 +350,11 @@ class ShardedNetworkSimulator(NetworkSimulator):
         #: ships per-window state mirrors and recovers crashed workers
         #: sequentially; ``detect`` fails fast on a dead/wedged worker;
         #: ``off`` restores plain blocking receives.
-        self.supervision = os.environ.get("REPRO_SUPERVISE", "checkpoint")
+        #: An in-process shard cannot die on its own: ``off``.
+        self.supervision = (
+            "off" if in_process
+            else os.environ.get("REPRO_SUPERVISE", "checkpoint")
+        )
         if self.supervision not in ("checkpoint", "detect", "off"):
             raise ValueError(
                 f"REPRO_SUPERVISE={self.supervision!r}; "
@@ -297,11 +377,66 @@ class ShardedNetworkSimulator(NetworkSimulator):
         # arrays (fancy-indexed add) and materialize into the per-link
         # tables only at handover points (quiescence, recall, crash) or
         # every 64th window — the Python merge loop per window was the
-        # dominant supervision cost.
+        # dominant supervision cost.  Busy times do the same (NaN = not
+        # reported since the last merge): only the owning shard
+        # transmits on a link, so nothing reads them in between.
         self._ck_bytes = None
         self._ck_msgs = None
+        self._ck_busy = None
         self._ck_windows = 0
         self.sim.attach_coupler(self)
+
+    def _adopt_plan(self, plan: ShardPlan) -> None:
+        self._plan = plan
+        self._index = plan.index
+        self.window = plan.lookahead
+        self._owner = dict(zip(plan.index.names, plan.index.owner.tolist()))
+        self._owner_arr = plan.index.owner
+
+    def _plan_first_barrier(self) -> None:
+        """Plan the in-process shard and hand it the arrivals deferred
+        until now, as one batch with mids in scheduling order (exactly
+        what offloading each at scheduling time would have built).  A
+        topology the planner rejects stays on the per-event path."""
+        try:
+            plan = plan_shards(
+                self.topology, 1, coordinator_hosts=self._coordinator_hosts
+            )
+        except ShardingError as exc:
+            self._request_recall(str(exc))
+            return
+        self._adopt_plan(plan)
+        rows, self._unplanned = self._unplanned, []
+        n = len(rows)
+        if not n:
+            return
+        idx = self._index.idx
+        parked = self._parked
+        for _t, msg, _node, _seq in rows:
+            if msg.mid == 0:
+                msg.mid = self._next_mid
+                self._next_mid += 1
+                parked[msg.mid] = msg
+            elif not msg.ephemeral:
+                parked[msg.mid] = msg
+        enc = self._flow_enc
+        columns = (
+            (row[0] for row in rows),
+            (row[1].mid for row in rows),
+            (idx[row[2]] for row in rows),
+            (idx[row[1].src] for row in rows),
+            (idx[row[1].dst] for row in rows),
+            (row[1].nbytes for row in rows),
+            (enc(row[1].flow) for row in rows),
+            (_msg_meta(row[1]) for row in rows),
+            (_UNRANKED for _ in rows),
+        )
+        batch = tuple(
+            np.fromiter(col, dt, n) for col, dt in zip(columns, _BATCH_DTYPES)
+        )
+        self._pending_batches.append(batch)
+        self._pending_count += n
+        self._pending_min = min(self._pending_min, float(batch[0].min()))
 
     # ------------------------------------------------------------------
     # Flow encoding and control ops
@@ -312,26 +447,27 @@ class ShardedNetworkSimulator(NetworkSimulator):
             enc = len(self._flow_by_enc)
             self._flow_enc_map[flow] = enc
             self._flow_by_enc[enc] = flow
-            self._ctl.append(("flow", enc, flow))
+            if self._forked:
+                self._ctl.append(("flow", enc, flow))
         return enc
 
     def on_deliver(self, node, callback, flow=None) -> None:
         super().on_deliver(node, callback, flow)
-        if self.engaged:
+        if self._forked:
             self._ctl.append(("cb", node, self._flow_enc(flow)))
 
     def set_flow_weight(self, flow, weight) -> None:
         super().set_flow_weight(flow, weight)
-        if self.engaged:
+        if self._forked:
             self._ctl.append(("weight", self._flow_enc(flow), float(weight)))
 
     def remove_flow(self, flow) -> None:
         super().remove_flow(flow)
-        if self.engaged:
+        if self._forked:
             self._ctl.append(("remove_flow", self._flow_enc(flow)))
 
     def abandon_flow(self, flow) -> None:
-        if self.engaged:
+        if self._forked:
             self._ctl.append(("abandon", self._flow_enc(flow)))
         super().abandon_flow(flow)
 
@@ -340,12 +476,17 @@ class ShardedNetworkSimulator(NetworkSimulator):
         super().intercept(node, interceptor)
 
     def arm_faults(self, schedule=None, seed=None):
-        # Sharded fault replay: arming no longer recalls.  Specs are
-        # noted (the injector subclass tracks them) and re-armed inside
-        # each worker at fork; whether the schedule can actually stay
-        # sharded is classified at fork time (_fault_recall_reason).
-        if self.faults is not None and seed is not None and self._forked:
-            # Workers captured the old salt in their fork snapshot.
+        if self.in_process:
+            # The in-process shard shares this process's topology: its
+            # fault replay would apply every transition a second time.
+            self._request_recall("fault injector armed")
+        elif self.faults is not None and seed is not None and self._forked:
+            # Sharded fault replay: arming alone does not recall.  Specs
+            # are noted (the injector subclass tracks them) and re-armed
+            # inside each worker at fork; whether the schedule can stay
+            # sharded is classified at fork time (_fault_recall_reason).
+            # Re-seeding after the fork does recall: workers captured
+            # the old salt in their fork snapshot.
             self._request_recall("fault injector re-seeded mid-run")
         return super().arm_faults(schedule, seed)
 
@@ -376,7 +517,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
 
     def _topology_changed(self, event: str, *args) -> None:
         super()._topology_changed(event, *args)
-        if self.engaged and not self._ctl_mute:
+        if self._forked and not self._ctl_mute:
             self._ctl.append((event, *args))
 
     def _record_degradation(self, event: str, reason: str, **detail) -> None:
@@ -404,6 +545,11 @@ class ShardedNetworkSimulator(NetworkSimulator):
         super()._hop(msg, node)
 
     def _offload(self, time: float, msg: Message, node: NodeId) -> None:
+        if self._plan is None:
+            sim = self.sim
+            self._unplanned.append((time, msg, node, sim._seq))
+            sim._seq += 1
+            return
         mid = msg.mid
         if mid == 0:
             mid = msg.mid = self._next_mid
@@ -415,9 +561,12 @@ class ShardedNetworkSimulator(NetworkSimulator):
         # the parked entry stays the original; the duplicate is
         # reconstructed from the row's meta bits on resume.
         idx = self._index.idx
+        key = self._offload_key
+        if key is None:
+            key = self._placement_key(self.sim.now)
         self._pending_rows.append((
             time, mid, idx[node], idx[msg.src], idx[msg.dst],
-            msg.nbytes, self._flow_enc(msg.flow), _msg_meta(msg),
+            msg.nbytes, self._flow_enc(msg.flow), _msg_meta(msg), key,
         ))
         self._pending_count += 1
         if time < self._pending_min:
@@ -440,7 +589,12 @@ class ShardedNetworkSimulator(NetworkSimulator):
             msg.retries = meta >> 2
         return msg
 
-    def _resume_parked(self, mid: int, node: NodeId, meta: int = 0) -> None:
+    def _resume_parked(
+        self, mid: int, node: NodeId, meta: int = 0, rank: int | None = None
+    ) -> None:
+        """Run a row bounced back from a shard.  ``rank`` is set for a
+        delivery the shard executed and numbered: rows its callback
+        schedules carry that number as their key."""
         msg = self._materialize(mid, meta)
         if meta & _META_RETRANSMIT:
             # The host's retransmission timeout fires here (the row's
@@ -453,7 +607,28 @@ class ShardedNetworkSimulator(NetworkSimulator):
             # parked original after delivery; entries clear at
             # quiescence instead.
             del self._parked[mid]
-        NetworkSimulator._hop(self, msg, node)
+        if rank is None:
+            NetworkSimulator._hop(self, msg, node)
+            return
+        outer = self._offload_key
+        self._offload_key = rank
+        try:
+            NetworkSimulator._hop(self, msg, node)
+        finally:
+            self._offload_key = outer
+
+    def _placement_key(self, now: float) -> int:
+        """Key of a row scheduled by a coordinator event at ``now``.
+
+        The event runs after the shard executions of its window before
+        ``now`` and, like an arrival scheduled before the run, ahead of
+        those at ``now``: the odd number between them.  Heap-exact with
+        one shard for events scheduled before the run (host sends);
+        deterministic otherwise."""
+        slot = 0
+        for first, times in self._shard_execs:
+            slot = max(slot, first + int(np.searchsorted(times, now)))
+        return 2 * slot - 1
 
     # ------------------------------------------------------------------
     # Barrier protocol (driven by ShardedSimulator)
@@ -466,6 +641,10 @@ class ShardedNetworkSimulator(NetworkSimulator):
         if self._suspend_reason is not None:
             self._do_recall()
             return None
+        if self._plan is None:
+            self._plan_first_barrier()
+            if not self.engaged:
+                return None
         sim = self.sim
         local = sim.peek_time()
         t0 = local if local is not None else _INF
@@ -521,8 +700,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
 
     def _dispatch(self, stop: float) -> None:
         self._flushed = False
-        ctl = self._ctl[self._ctl_sent:]
-        self._ctl_sent = len(self._ctl)
+        ctl, self._ctl = self._ctl, []
         shard_batches = self._split_pending()
         dead: dict[int, str] = {}
         for w, (conn, batch) in enumerate(zip(self._conns, shard_batches)):
@@ -534,6 +712,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
                 dead[w] = "worker process died"
         inbound: list = []
         deliveries: list = []
+        self._shard_execs = []
         for w, conn in enumerate(self._conns):
             if w in dead:
                 continue
@@ -542,9 +721,8 @@ class ShardedNetworkSimulator(NetworkSimulator):
             except _WorkerDied as exc:
                 dead[exc.worker] = exc.reason
                 continue
-            (_, outbox, dels, stats, next_t, last_t, events, npend, ck) = (
-                reply
-            )
+            (_, outbox, dels, stats, next_t, last_t, events, npend, ck,
+             execs) = reply
             if outbox is not None:
                 ow = self._owner_arr[outbox[2]]
                 coord = ow < 0
@@ -568,6 +746,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
             self._worker_last[w] = last_t
             self._worker_pending[w] = npend
             self._remote_events += events
+            self._shard_execs.append(execs)
         # Deliveries (t < stop) interleave with the coordinator's own
         # window; inbound crossings (t >= stop) land in future windows.
         for batch in (_concat_batches(deliveries), _concat_batches(inbound)):
@@ -618,9 +797,9 @@ class ShardedNetworkSimulator(NetworkSimulator):
     def _absorb_ck(self, w: int, ck: tuple, stop: float) -> None:
         """Fold one worker's per-window checkpoint into its mirror.
 
-        Link-counter deltas and busy times merge into the coordinator
-        tables immediately (each link is owned by exactly one shard, so
-        mid-run merging is exact and the final flush sees empty
+        Link-counter deltas and busy times accumulate for the
+        coordinator tables (each link is owned by exactly one shard, so
+        merging them mid-run is exact and the final flush sees empty
         deltas); the in-flight state replaces/extends the mirror.
         """
         state, queues, flush, busy, peaks = ck
@@ -640,7 +819,9 @@ class ShardedNetworkSimulator(NetworkSimulator):
                 # loosely fresh without paying the merge every window.
                 self._drain_ck_flush()
         if busy is not None:
-            self._apply_busy(busy)
+            if self._ck_busy is None:
+                self._ck_busy = np.full(len(self._index.link_keys), np.nan)
+            self._ck_busy[busy[0]] = busy[1]
         if peaks:
             self._merge_queue_peaks(peaks)
         if self.arbitration == "fifo":
@@ -679,8 +860,13 @@ class ShardedNetworkSimulator(NetworkSimulator):
 
     def _drain_ck_flush(self) -> None:
         """Materialize the accumulated per-window link-counter deltas
-        into the per-link tables (exactness point: handover to the
-        sequential engine, quiescence, or a provenance read)."""
+        and busy times into the per-link tables (exactness point:
+        handover to the sequential engine, quiescence, or a provenance
+        read)."""
+        if self._ck_busy is not None:
+            nz = np.nonzero(~np.isnan(self._ck_busy))[0]
+            self._apply_busy((nz, self._ck_busy[nz]))
+            self._ck_busy = None
         if self._ck_bytes is None:
             return
         nz = np.nonzero((self._ck_bytes != 0) | (self._ck_msgs != 0))[0]
@@ -728,33 +914,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
         arrivals: list[tuple] = []
         queues: list[tuple] = []
         for w in range(self._plan.n_shards):
-            mirror = self._mirror[w]
-            if self.arbitration == "fifo":
-                batch = _concat_batches(
-                    self._compact_mirror(w) + [self._last_batch[w]]
-                )
-                if batch is not None:
-                    t, mid, node, meta = (
-                        batch[0], batch[1], batch[2], batch[7]
-                    )
-                    for i in range(t.size):
-                        arrivals.append((
-                            float(t[i]), int(mid[i]), int(mid[i]),
-                            int(node[i]), int(meta[i]),
-                        ))
-            else:
-                if mirror is not None:
-                    arr, qs = mirror
-                    arrivals.extend(arr)
-                    queues.extend(qs)
-                last = self._last_batch[w]
-                if last is not None:
-                    t, mid, node, meta = last[0], last[1], last[2], last[7]
-                    for i in range(t.size):
-                        arrivals.append((
-                            float(t[i]), int(mid[i]), int(mid[i]),
-                            int(node[i]), int(meta[i]),
-                        ))
+            self._restore_mirror(w, arrivals, queues)
         self._shutdown_procs()
         self.engaged = False
         self._flushed = True
@@ -763,19 +923,38 @@ class ShardedNetworkSimulator(NetworkSimulator):
         self._worker_pending = [0] * n
         self._restore_recalled(arrivals, queues)
 
+    def _restore_mirror(self, w: int, arrivals: list, queues: list) -> None:
+        """Append shard ``w``'s state as of its last completed window
+        (its mirror plus the grant it never replied to) to the recall
+        lists."""
+        if self.arbitration == "fifo":
+            batch = _concat_batches(
+                self._compact_mirror(w) + [self._last_batch[w]]
+            )
+        else:
+            if self._mirror[w] is not None:
+                arr, qs = self._mirror[w]
+                arrivals.extend(arr)
+                queues.extend(qs)
+            batch = self._last_batch[w]
+        arrivals.extend(_batch_arrivals(batch))
+
     def _schedule_batch(self, batch: tuple) -> None:
         names = self._index.names
         schedule = self.sim.schedule_fast
         resume = self._resume_parked
-        t_col, mid_col, node_col = batch[0], batch[1], batch[2]
-        # Crossing batches carry meta in column 7, delivery bounces in
-        # column 3.
-        meta_col = batch[7] if len(batch) > 4 else batch[3]
-        for i in range(t_col.size):
-            schedule(
-                float(t_col[i]), resume,
-                (int(mid_col[i]), names[int(node_col[i])], int(meta_col[i])),
-            )
+        head = (batch[0].tolist(), batch[1].tolist(), batch[2].tolist())
+        if len(batch) == len(_BATCH_DTYPES):
+            # Crossings: the coordinator executes (and numbers) them.
+            for t, mid, node, meta in zip(*head, batch[7].tolist()):
+                schedule(t, resume, (mid, names[node], meta))
+            return
+        # Delivery bounces: (time, mid, node, meta, rank), executed and
+        # numbered by their shard.
+        for t, mid, node, meta, rank in zip(
+            *head, batch[3].tolist(), batch[4].tolist()
+        ):
+            schedule(t, resume, (mid, names[node], meta, rank))
 
     def _split_pending(self) -> list:
         batch = _concat_batches(
@@ -853,11 +1032,10 @@ class ShardedNetworkSimulator(NetworkSimulator):
             link.messages_carried += int(msgs[i])
 
     def _apply_busy(self, busy: tuple) -> None:
-        idx, values = busy
         keys = self._index.link_keys
         links = self.topology._links
-        for i in range(len(idx)):
-            links[keys[int(idx[i])]].busy_until = float(values[i])
+        for i, value in zip(busy[0].tolist(), busy[1].tolist()):
+            links[keys[i]].busy_until = value
 
     def _merge_queue_peaks(self, peaks: list) -> None:
         names = self._index.names
@@ -933,7 +1111,10 @@ class ShardedNetworkSimulator(NetworkSimulator):
     # Introspection for ShardedSimulator
     # ------------------------------------------------------------------
     def remote_pending(self) -> int:
-        return self._pending_count + sum(self._worker_pending)
+        return (
+            self._pending_count + len(self._unplanned)
+            + sum(self._worker_pending)
+        )
 
     def remote_events(self) -> int:
         return self._remote_events
@@ -942,10 +1123,11 @@ class ShardedNetworkSimulator(NetworkSimulator):
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _fork(self) -> None:
-        ctx = get_context("fork")
-        # Everything in the ctl log so far is visible in the fork
-        # snapshot; only later entries need broadcasting.
-        self._ctl_sent = len(self._ctl)
+        """Start the shard runtimes: forked workers, or (in process)
+        one runtime behind a loopback connection."""
+        # Workers start from the coordinator's current state; only
+        # later control ops need broadcasting.
+        self._ctl = []
         n = self._plan.n_shards
         self._worker_next = [_INF] * n
         self._worker_last = [self.sim.now] * n
@@ -953,6 +1135,15 @@ class ShardedNetworkSimulator(NetworkSimulator):
         self._mirror = [None] * n
         self._mirror_stop = [-_INF] * n
         self._last_batch = [None] * n
+        if self.in_process:
+            self._conns = [
+                _LocalConn(_shard_runtime(self, shard)) for shard in range(n)
+            ]
+            self._forked = True
+            return
+        from multiprocessing import get_context  # only forked engines
+
+        ctx = get_context("fork")
         for shard in range(n):
             parent, child = ctx.Pipe()
             proc = ctx.Process(
@@ -968,12 +1159,13 @@ class ShardedNetworkSimulator(NetworkSimulator):
         if not self.engaged:
             return
         if not self._forked:
-            warnings.warn(
-                f"sharded engine disengaged before start ({reason}); "
-                "running sequentially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+            if not self.in_process:
+                warnings.warn(
+                    f"sharded engine disengaged before start ({reason}); "
+                    "running sequentially",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
             self.engaged = False
             self._record_degradation("disengaged", reason)
             # Rows offloaded for the (never-started) workers rejoin
@@ -993,11 +1185,13 @@ class ShardedNetworkSimulator(NetworkSimulator):
         """
         reason = self._suspend_reason
         self._suspend_reason = None
-        warnings.warn(
-            f"sharded engine recalled ({reason}); continuing sequentially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        if not self.in_process:
+            warnings.warn(
+                f"sharded engine recalled ({reason}); continuing "
+                "sequentially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         self._record_degradation("recall", reason)
         self._drain_ck_flush()
         arrivals: list[tuple] = []
@@ -1040,35 +1234,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
             # window has already been absorbed).
             for w, reason_ in dead.items():
                 self._record_degradation("worker_crash", reason_, worker=w)
-                mirror = self._mirror[w]
-                if self.arbitration == "fifo":
-                    batch = _concat_batches(
-                        self._compact_mirror(w) + [self._last_batch[w]]
-                    )
-                    if batch is not None:
-                        t, mid, node, meta = (
-                            batch[0], batch[1], batch[2], batch[7]
-                        )
-                        for i in range(t.size):
-                            arrivals.append((
-                                float(t[i]), int(mid[i]), int(mid[i]),
-                                int(node[i]), int(meta[i]),
-                            ))
-                else:
-                    if mirror is not None:
-                        arr, qs = mirror
-                        arrivals.extend(arr)
-                        queues.extend(qs)
-                    last = self._last_batch[w]
-                    if last is not None:
-                        t, mid, node, meta = (
-                            last[0], last[1], last[2], last[7]
-                        )
-                        for i in range(t.size):
-                            arrivals.append((
-                                float(t[i]), int(mid[i]), int(mid[i]),
-                                int(node[i]), int(meta[i]),
-                            ))
+                self._restore_mirror(w, arrivals, queues)
         self._shutdown_procs()
         self.engaged = False
         self._restore_recalled(arrivals, queues)
@@ -1079,13 +1245,21 @@ class ShardedNetworkSimulator(NetworkSimulator):
         """Re-schedule recovered worker state into the coordinator's
         own heap/queues (the shared tail of recall and crash
         recovery)."""
+        if self._plan is None:
+            # Never planned: the deferred arrivals enter the heap as
+            # their scheduling would have placed them.
+            heap = self.sim._heap
+            for time, msg, node, seq in self._unplanned:
+                heapq.heappush(heap, [time, 1, seq, self._hop, (msg, node)])
+            self._unplanned = []
+            return
         names = self._index.names
         # Rows queued for relay but never dispatched rejoin the heap.
         batch = _concat_batches(
             self._pending_batches + [_rows_to_batch(self._pending_rows)]
         )
         if batch is not None:
-            self._schedule_batch(_sort_batch(batch))
+            arrivals = arrivals + _batch_arrivals(batch)
         self._pending_rows = []
         self._pending_batches = []
         self._pending_min = _INF
@@ -1171,25 +1345,55 @@ class ShardedNetworkSimulator(NetworkSimulator):
 # ======================================================================
 # Worker side
 # ======================================================================
+def _shard_runtime(coord: ShardedNetworkSimulator, shard: int):
+    if coord.arbitration == "fifo":
+        return _VectorWorker(coord, shard)
+    return _EventWorker(coord, shard)
+
+
+def _serve(runtime, msg: tuple):
+    """Answer one barrier request (None for the shutdown request)."""
+    tag = msg[0]
+    if tag == "w":
+        return runtime.window(msg[1], msg[2], msg[3])
+    if tag == "f":
+        return runtime.flush()
+    if tag == "rc":
+        return runtime.recall()
+    return None
+
+
+class _LocalConn:
+    """The pipe seam for a shard run in the coordinator process:
+    ``send`` serves the request on the spot and ``recv`` hands back the
+    reply.  A shard error raises straight out of ``send``."""
+
+    def __init__(self, runtime) -> None:
+        self._runtime = runtime
+        self._reply = None
+
+    def send(self, msg: tuple) -> None:
+        self._reply = _serve(self._runtime, msg)
+
+    def recv(self):
+        reply, self._reply = self._reply, None
+        return reply
+
+    def close(self) -> None:
+        self._runtime = None
+
+
 def _worker_main(conn, shard: int, coord: ShardedNetworkSimulator) -> None:
     """Forked worker entry point: build the shard runtime over the
     inherited (copy-on-write) snapshot and serve barrier requests."""
     try:
-        if coord.arbitration == "fifo":
-            runtime = _VectorWorker(coord, shard)
-        else:
-            runtime = _EventWorker(coord, shard)
+        runtime = _shard_runtime(coord, shard)
         while True:
             msg = conn.recv()
-            tag = msg[0]
-            if tag == "w":
-                conn.send(runtime.window(msg[1], msg[2], msg[3]))
-            elif tag == "f":
-                conn.send(runtime.flush())
-            elif tag == "rc":
-                conn.send(runtime.recall())
+            if msg[0] == "x":
                 return
-            elif tag == "x":
+            conn.send(_serve(runtime, msg))
+            if msg[0] == "rc":
                 return
     except EOFError:  # pragma: no cover - parent died
         return
@@ -1209,8 +1413,12 @@ class _WorkerBase:
         self.index = coord._index
         self.owner = coord._index.owner
         self.names = coord._index.names
-        self.topology = coord.topology  # this process's private copy
-        self.router = coord.router      # same: private post-fork copy
+        # A forked worker's topology and router are its private
+        # post-fork copies; an in-process shard shares the
+        # coordinator's, so it must not replay topology mutations.
+        self.topology = coord.topology
+        self.router = coord.router
+        self.shared_topology = coord.in_process
         self.flow_by_enc = dict(coord._flow_by_enc)
         self.enc_by_flow = dict(coord._flow_enc_map)
         # Delivery-callback keys: an arrival terminating at one of
@@ -1219,22 +1427,21 @@ class _WorkerBase:
         links = coord.topology.links()
         self.links = links
         self.link_owner = self.owner[self.index.link_src]
-        self.snap_busy = np.fromiter(
-            (ln.busy_until for ln in links), np.float64, len(links)
-        )
-        self.snap_bytes = np.fromiter(
-            (ln.bytes_carried for ln in links), np.float64, len(links)
-        )
-        self.snap_msgs = np.fromiter(
-            (ln.messages_carried for ln in links), np.int64, len(links)
-        )
+        self.snap_busy = self.link_column("busy_until", np.float64)
         # Checkpoint supervision: ship post-window in-flight state with
         # every barrier reply so the coordinator can recover this shard
         # if the process later dies.
         self.ship_ck = coord.supervision == "checkpoint"
-        self.link_index = {
-            key: i for i, key in enumerate(self.index.link_keys)
-        }
+
+    def link_column(self, attr: str, dtype) -> np.ndarray:
+        """One ``Link`` attribute over every link, in index order."""
+        return np.fromiter(
+            map(attrgetter(attr), self.links), dtype, len(self.links)
+        )
+
+    @cached_property
+    def link_index(self) -> dict:
+        return {key: i for i, key in enumerate(self.index.link_keys)}
 
     # -- control ops ---------------------------------------------------
     def apply_controls(self, ctl: list[tuple]) -> None:
@@ -1261,20 +1468,15 @@ class _WorkerBase:
                 self.cb_keys = {k for k in self.cb_keys if k[1] != flow}
                 self.abandon_local(flow)
                 self.on_cb_change()
-            elif kind == "fail_link":
-                self.topology.fail_link(op[1], op[2])
-                self.on_topology_ctl()
-            elif kind == "repair_link":
-                self.topology.repair_link(op[1], op[2])
-                self.on_topology_ctl()
-            elif kind == "fail_switch":
-                self.topology.fail_switch(op[1])
-                self.on_topology_ctl()
-            elif kind == "repair_switch":
-                self.topology.repair_switch(op[1])
+            elif kind in (
+                "fail_link", "repair_link", "fail_switch", "repair_switch",
+            ):
+                if not self.shared_topology:
+                    getattr(self.topology, kind)(*op[1:])
                 self.on_topology_ctl()
             elif kind == "set_link_rate":
-                self.topology.set_link_rate(op[1], op[2], op[3])
+                if not self.shared_topology:
+                    self.topology.set_link_rate(op[1], op[2], op[3])
                 self.on_rate_ctl(op[1], op[2])
             else:  # pragma: no cover - protocol drift guard
                 raise RuntimeError(f"unknown control op {op!r}")
@@ -1297,35 +1499,6 @@ class _WorkerBase:
     def abandon_local(self, flow) -> None:
         pass
 
-    # -- link state deltas ---------------------------------------------
-    def link_flush(self):
-        cur_bytes = np.fromiter(
-            (ln.bytes_carried for ln in self.links), np.float64, len(self.links)
-        )
-        cur_msgs = np.fromiter(
-            (ln.messages_carried for ln in self.links), np.int64, len(self.links)
-        )
-        db = cur_bytes - self.snap_bytes
-        dm = cur_msgs - self.snap_msgs
-        self.snap_bytes = cur_bytes
-        self.snap_msgs = cur_msgs
-        nz = np.nonzero((db != 0) | (dm != 0))[0]
-        if nz.size == 0:
-            return None
-        return (nz.astype(np.int64), db[nz], dm[nz])
-
-    def busy_state(self):
-        cur = np.fromiter(
-            (ln.busy_until for ln in self.links), np.float64, len(self.links)
-        )
-        changed = np.nonzero(
-            (cur != self.snap_busy) & (self.link_owner == self.shard)
-        )[0]
-        self.snap_busy = cur
-        if changed.size == 0:
-            return None
-        return (changed.astype(np.int64), cur[changed])
-
 
 class _EventWorker(_WorkerBase):
     """Per-event worker shard (WFQ arbitration): a real
@@ -1335,6 +1508,8 @@ class _EventWorker(_WorkerBase):
 
     def __init__(self, coord: ShardedNetworkSimulator, shard: int) -> None:
         super().__init__(coord, shard)
+        self.snap_bytes = self.link_column("bytes_carried", np.float64)
+        self.snap_msgs = self.link_column("messages_carried", np.int64)
         self.sim = Simulator()
         self.sim.now = coord.sim.now
         self.net = _ShardNet(
@@ -1364,6 +1539,29 @@ class _EventWorker(_WorkerBase):
             inj = self.net.arm_faults(seed=coord.faults.seed)
             for spec in coord.faults.specs:
                 inj.inject(spec)
+
+    # -- link state deltas (read off this process's Link objects) -------
+    def link_flush(self):
+        cur_bytes = self.link_column("bytes_carried", np.float64)
+        cur_msgs = self.link_column("messages_carried", np.int64)
+        db = cur_bytes - self.snap_bytes
+        dm = cur_msgs - self.snap_msgs
+        self.snap_bytes = cur_bytes
+        self.snap_msgs = cur_msgs
+        nz = np.nonzero((db != 0) | (dm != 0))[0]
+        if nz.size == 0:
+            return None
+        return (nz.astype(np.int64), db[nz], dm[nz])
+
+    def busy_state(self):
+        cur = self.link_column("busy_until", np.float64)
+        changed = np.nonzero(
+            (cur != self.snap_busy) & (self.link_owner == self.shard)
+        )[0]
+        self.snap_busy = cur
+        if changed.size == 0:
+            return None
+        return (changed.astype(np.int64), cur[changed])
 
     def set_weight(self, flow, w: float) -> None:
         self.net._flow_weight[flow] = w
@@ -1403,12 +1601,12 @@ class _EventWorker(_WorkerBase):
             ck = None
         return (
             "r", out, dels, self._stats_delta(), self.sim.peek_time(),
-            self.sim.now, events, self.sim.pending, ck,
+            self.sim.now, events, self.sim.pending, ck, (0, np.empty(0)),
         )
 
     def _schedule_batch(self, batch: tuple) -> None:
         names = self.names
-        t, mid, node, src, dst, nb, fl, meta = batch
+        t, mid, node, src, dst, nb, fl, meta, _key = batch
         hop = self.net._hop
         retransmit = self.net._retransmit
         schedule = self.sim.schedule_fast
@@ -1572,15 +1770,16 @@ class _EventWorker(_WorkerBase):
 
 
 def _deliveries_to_batch(rows: list[tuple]):
-    """(time, mid, node, meta) bounce batches."""
+    """(time, mid, node, meta, rank) bounce batches."""
     if not rows:
         return None
-    t, mid, node, meta = zip(*rows)
+    t, mid, node, meta, rank = zip(*rows)
     return (
         np.asarray(t, dtype=np.float64),
         np.asarray(mid, dtype=np.int64),
         np.asarray(node, dtype=np.int64),
         np.asarray(meta, dtype=np.int64),
+        np.asarray(rank, dtype=np.int64),
     )
 
 
@@ -1596,6 +1795,7 @@ class _ShardNet(NetworkSimulator):
             rt.outbox.append((
                 time, msg.mid, idx[node], idx[msg.src], idx[msg.dst],
                 msg.nbytes, rt.enc_by_flow[msg.flow], _msg_meta(msg),
+                _UNRANKED,
             ))
             return
         super()._schedule_hop(time, msg, node)
@@ -1606,7 +1806,7 @@ class _ShardNet(NetworkSimulator):
             if (node, msg.flow) in rt.cb_keys or (node, None) in rt.cb_keys:
                 rt.deliveries.append(
                     (self.sim.now, msg.mid, rt.index.idx[node],
-                     _msg_meta(msg))
+                     _msg_meta(msg), _UNRANKED)
                 )
             return
         super()._hop(msg, node)
@@ -1639,7 +1839,7 @@ class _ShardNet(NetworkSimulator):
             self.sim.now + self.retransmit_timeout_ns, msg.mid,
             idx[msg.src], idx[msg.src], idx[msg.dst], msg.nbytes,
             rt.enc_by_flow[msg.flow],
-            _META_RETRANSMIT | (msg.retries << 2),
+            _META_RETRANSMIT | (msg.retries << 2), _UNRANKED,
         ))
 
 
@@ -1657,7 +1857,13 @@ class _VectorWorker(_WorkerBase):
     one arrival this window computes ``max(t, busy) + nbytes/rate``
     elementwise (identical IEEE operations to the scalar path); links
     with several arrivals run the same scalar ``max``/``+`` chain in a
-    Python loop over the (time, mid)-sorted segment.
+    Python loop over the segment in execution order.
+
+    Execution order is the per-event heap's: ``(time, key, mid)``.  The
+    shard numbers its executions in that order (even numbers, so the
+    coordinator can slot its own events between two of them), stamps
+    each emitted row with the number of the execution that emitted it,
+    and reports each window's execution times in number order.
     """
 
     def __init__(self, coord: ShardedNetworkSimulator, shard: int) -> None:
@@ -1665,12 +1871,18 @@ class _VectorWorker(_WorkerBase):
         index = self.index
         self.now = coord.sim.now
         self.events = 0
+        #: Executions numbered so far, and the times of this window's
+        #: executions in number order (reported to the coordinator).
+        self.executed = 0
+        self.exec_times: list = []
         self.rate = index.link_rate.copy()
         self.latency = index.link_latency
         self.busy = self.snap_busy.copy()
         self.acc_bytes = np.zeros(index.n_links, np.float64)
         self.acc_msgs = np.zeros(index.n_links, np.int64)
-        self.pend: tuple | None = None
+        #: Pending rows (arrivals at or past the last window stop), as
+        #: time-sorted runs: a window takes each run's prefix.
+        self.pend: list[tuple] = []
         self.outbox: list[tuple] = []
         self.deliveries: list[tuple] = []
         self.has_cb = np.zeros(index.n_nodes, np.bool_)
@@ -1702,11 +1914,9 @@ class _VectorWorker(_WorkerBase):
             # Absolute per-link message counters: the roll key.  Rolls
             # read the post-increment counter, exactly like
             # ``Link.transmit`` + ``FaultInjector.roll``.
-            self.nmsg_roll = self.snap_msgs.copy()
+            self.nmsg_roll = self.link_column("messages_carried", np.int64)
             self.link_fault: dict[int, object] = {}
-            self.link_down = np.fromiter(
-                (ln.failed for ln in self.links), np.bool_, len(self.links)
-            )
+            self.link_down = self.link_column("failed", np.bool_)
             self.node_failed = np.zeros(index.n_nodes, np.bool_)
             for s in self.topology._failed_switches:
                 self.node_failed[index.idx[s]] = True
@@ -1767,28 +1977,23 @@ class _VectorWorker(_WorkerBase):
     def window(self, stop: float, batch, ctl) -> tuple:
         self.apply_controls(ctl)
         if batch is not None:
-            self.pend = _concat_batches([self.pend, batch])
+            self.pend.append(batch)     # the coordinator sorted it
         start_events = self.events
+        first = self.executed
         if self.faulty:
             self._window_faulty(stop)
         else:
-            while self.pend is not None:
-                take = self.pend[0] < stop
-                if not take.any():
-                    break
-                rows = _mask_batch(self.pend, take)
-                rest = ~take
-                self.pend = (
-                    _mask_batch(self.pend, rest) if rest.any() else None
-                )
+            # Emitted rows land at or past ``stop`` (one hop per window).
+            rows = self._take(stop)
+            if rows is not None:
                 self._process(rows)
         out = _concat_batches(self.outbox) if self.outbox else None
         self.outbox = []
         dels = _concat_batches(self.deliveries) if self.deliveries else None
         self.deliveries = []
-        if self.pend is not None:
-            next_t = float(self.pend[0].min())
-            npend = int(self.pend[0].size)
+        if self.pend:
+            next_t = min(float(run[0][0]) for run in self.pend)
+            npend = sum(int(run[0].size) for run in self.pend)
         else:
             next_t, npend = None, 0
         if self.ship_ck:
@@ -1801,22 +2006,60 @@ class _VectorWorker(_WorkerBase):
             ck = None
         return (
             "r", out, dels, self._stats_delta(), next_t, self.now,
-            self.events - start_events, npend, ck,
+            self.events - start_events, npend, ck, (first, self._exec_log()),
         )
 
+    def _exec_log(self) -> np.ndarray:
+        # Arrays from vectorized windows, floats from fault replay.
+        times, self.exec_times = self.exec_times, []
+        if self.faulty:
+            return np.asarray(times, dtype=np.float64)
+        return np.concatenate(times) if times else np.empty(0)
+
+    def _take(self, stop: float) -> tuple | None:
+        """Remove and return every pending row with ``time < stop``."""
+        taken, runs = [], []
+        for run in self.pend:
+            k = int(np.searchsorted(run[0], stop))
+            if k:
+                taken.append(tuple(col[:k] for col in run))
+            if k < run[0].size:
+                runs.append(tuple(col[k:] for col in run) if k else run)
+        self.pend = runs
+        return _concat_batches(taken)
+
+    def _push(self, batch: tuple) -> None:
+        order = np.argsort(batch[0], kind="stable")
+        self.pend.append(tuple(col[order] for col in batch))
+
     def _process(self, rows: tuple) -> None:
-        t, mid, node, src, dst, nb, fl, meta = rows
-        self.events += int(t.size)
-        last = float(t.max())
+        t, mid, node, src, dst, nb, fl, meta, key = rows
+        n = t.size
+        self.events += n
+        # Execution order is the heap's (time, key, mid); sorting by
+        # time alone gives it unless two rows share an instant.
+        order = np.argsort(t, kind="stable")
+        if n > 1:
+            ts = t[order]
+            if (ts[1:] == ts[:-1]).any():
+                order = np.lexsort((mid, key, t))
+        t, mid, node, src, dst, nb, fl, meta = (
+            c[order] for c in (t, mid, node, src, dst, nb, fl, meta)
+        )
+        last = float(t[-1])
         if last > self.now:
             self.now = last
+        rank = 2 * np.arange(self.executed, self.executed + n)
+        self.executed += n
+        self.exec_times.append(t)
         if self.dead_encs:
             alive = ~np.isin(
                 fl, np.fromiter(self.dead_encs, np.int64, len(self.dead_encs))
             )
             if not alive.all():
-                t, mid, node, src, dst, nb, fl, meta = (
-                    c[alive] for c in (t, mid, node, src, dst, nb, fl, meta)
+                t, mid, node, src, dst, nb, fl, meta, rank = (
+                    c[alive]
+                    for c in (t, mid, node, src, dst, nb, fl, meta, rank)
                 )
                 if t.size == 0:
                     return
@@ -1825,20 +2068,21 @@ class _VectorWorker(_WorkerBase):
             bounce = deliver & self.has_cb[node]
             nbounce = int(bounce.sum())
             if nbounce:
-                self.deliveries.append(
-                    (t[bounce], mid[bounce], node[bounce], meta[bounce])
-                )
+                self.deliveries.append((
+                    t[bounce], mid[bounce], node[bounce], meta[bounce],
+                    rank[bounce],
+                ))
                 self.events -= nbounce  # executed coordinator-side
             keep = ~deliver
             if not keep.any():
                 return
-            t, mid, node, src, dst, nb, fl, meta = (
-                c[keep] for c in (t, mid, node, src, dst, nb, fl, meta)
+            t, mid, node, src, dst, nb, fl, meta, rank = (
+                c[keep] for c in (t, mid, node, src, dst, nb, fl, meta, rank)
             )
         nxt = self._route(node, dst)
         li = self.index.link_ids(node, nxt)
         ser = nb / self.rate[li]
-        order = np.lexsort((mid, t, li))
+        order = np.argsort(li, kind="stable")  # per link, execution order
         li_s = li[order]
         t_s = t[order]
         ser_s = ser[order]
@@ -1854,15 +2098,24 @@ class _VectorWorker(_WorkerBase):
             fin[pos] = np.maximum(t_s[pos], self.busy[lids]) + ser_s[pos]
             self.busy[lids] = fin[pos]
         if not single.all():
-            busy = self.busy
-            for s, e in zip(seg_start[~single], seg_end[~single]):
-                lid = li_s[s]
-                b = busy[lid]
+            # Python floats run the same IEEE max/+ chain, faster than
+            # numpy scalars.
+            multi = ~single
+            lids = li_s[seg_start[multi]]
+            t_l, ser_l = t_s.tolist(), ser_s.tolist()
+            chained: list[float] = []
+            ends = []
+            for s, e, b in zip(
+                seg_start[multi].tolist(), seg_end[multi].tolist(),
+                self.busy[lids].tolist(),
+            ):
                 for i in range(s, e):
-                    when = t_s[i]
-                    b = (when if when > b else b) + ser_s[i]
-                    fin[i] = b
-                busy[lid] = b
+                    when = t_l[i]
+                    b = (when if when > b else b) + ser_l[i]
+                    chained.append(b)
+                ends.append(b)
+            fin[np.repeat(multi, seg_end - seg_start)] = chained
+            self.busy[lids] = ends
         np.add.at(self.acc_bytes, li, nb)
         np.add.at(self.acc_msgs, li, 1)
         self._bh += float(nb.sum())
@@ -1873,12 +2126,12 @@ class _VectorWorker(_WorkerBase):
         arr[order] = fin + self.latency[li_s]
         ow = self.owner[nxt]
         mine = ow == self.shard
-        out_rows = (arr, mid, nxt, src, dst, nb, fl, meta)
+        out_rows = (arr, mid, nxt, src, dst, nb, fl, meta, rank)
         if mine.any():
             mine_rows = _mask_batch(out_rows, mine)
             if self.ship_ck:
                 self.ck_mine.append(mine_rows)
-            self.pend = _concat_batches([self.pend, mine_rows])
+            self._push(mine_rows)
         away = ~mine
         if away.any():
             self.outbox.append(_mask_batch(out_rows, away))
@@ -1890,26 +2143,17 @@ class _VectorWorker(_WorkerBase):
         Faults break the batch model (each row may roll loss or
         duplication, and the rolls consume per-link counters in event
         order), so the window runs as a scalar mini event loop over a
-        ``(t, mid)``-ordered row heap — the same order the batch path's
-        lexsort established, so fault-free prefixes stay bitwise
-        identical.  Apply/repair transitions fire lazily before the
-        first row at or past their instant (priority-0 semantics).
+        ``(t, mid)``-ordered row heap (executions are still numbered, in
+        that order, for the rows they emit).  Apply/repair transitions
+        fire lazily before the first row at or past their instant
+        (priority-0 semantics).
         """
         self._fstop = stop
         heap = self._fheap
-        if self.pend is not None:
-            take = self.pend[0] < stop
-            if take.any():
-                rows = _mask_batch(self.pend, take)
-                rest = ~take
-                self.pend = (
-                    _mask_batch(self.pend, rest) if rest.any() else None
-                )
-                cols = tuple(
-                    col.tolist() for col in rows
-                )
-                for row in zip(*cols):
-                    heapq.heappush(heap, row)
+        rows = self._take(stop)
+        if rows is not None:
+            for row in zip(*(col.tolist() for col in rows)):
+                heapq.heappush(heap, row)
         timeline = self.fault_timeline
         ntl = len(timeline)
         while heap:
@@ -1923,7 +2167,7 @@ class _VectorWorker(_WorkerBase):
             self._frest = []
             if self.ship_ck:
                 self.ck_mine.append(rest)
-            self.pend = _concat_batches([self.pend, rest])
+            self._push(rest)
         if self._fdels:
             self.deliveries.append(_deliveries_to_batch(self._fdels))
             self._fdels = []
@@ -1933,11 +2177,14 @@ class _VectorWorker(_WorkerBase):
 
     def _exec_row(
         self, t: float, mid: int, node: int, src: int, dst: int,
-        nb: float, fl: int, meta: int,
+        nb: float, fl: int, meta: int, _key: int,
     ) -> None:
         if t > self.now:
             self.now = t
         self.events += 1
+        rank = 2 * self.executed
+        self.executed += 1
+        self.exec_times.append(t)
         if fl in self.dead_encs:
             return
         if meta & _META_RETRANSMIT:
@@ -1946,18 +2193,18 @@ class _VectorWorker(_WorkerBase):
             self._count_rel(fl, 2)
         if node == dst:
             if self.has_cb[node]:
-                self._fdels.append((t, mid, node, meta))
+                self._fdels.append((t, mid, node, meta, rank))
                 self.events -= 1  # executed coordinator-side
             return
         if node != src and self.node_failed[node]:
             # Dead switch swallows the chunk (no link attribution).
-            self._lose_row(t, mid, src, dst, nb, fl, meta)
+            self._lose_row(t, mid, src, dst, nb, fl, meta, rank)
             return
         nxt = self._route_one(node, dst)
         li = self.link_index[(self.names[node], self.names[nxt])]
         if self.link_down[li]:
             self._count_link_rel(li, 3)
-            self._lose_row(t, mid, src, dst, nb, fl, meta)
+            self._lose_row(t, mid, src, dst, nb, fl, meta, rank)
             return
         fault = self.link_fault.get(li)
         # Mirror Link.transmit's float chain (and counter bumps) bit
@@ -1983,7 +2230,7 @@ class _VectorWorker(_WorkerBase):
         if fault is not None and fault.kind == "lossy":
             if fault.loss_rate and self._roll(li, "drop", fault.loss_rate):
                 self._count_link_rel(li, 3)
-                self._lose_row(t, mid, src, dst, nb, fl, meta)
+                self._lose_row(t, mid, src, dst, nb, fl, meta, rank)
                 return
             if fault.duplicate_rate and self._roll(
                 li, "dup", fault.duplicate_rate
@@ -1992,13 +2239,13 @@ class _VectorWorker(_WorkerBase):
                 self._count_rel(fl, 1)
                 self._emit_row(
                     arr + self.latency[li], mid, nxt, src, dst, nb, fl,
-                    meta | _META_EPHEMERAL,
+                    meta | _META_EPHEMERAL, rank,
                 )
-        self._emit_row(arr, mid, nxt, src, dst, nb, fl, meta)
+        self._emit_row(arr, mid, nxt, src, dst, nb, fl, meta, rank)
 
     def _lose_row(
         self, t: float, mid: int, src: int, dst: int, nb: float,
-        fl: int, meta: int,
+        fl: int, meta: int, rank: int,
     ) -> None:
         self._count_rel(fl, 0)
         if meta & _META_EPHEMERAL:
@@ -2012,15 +2259,15 @@ class _VectorWorker(_WorkerBase):
             )
         self._emit_row(
             t + self.retx_timeout, mid, src, src, dst, nb, fl,
-            _META_RETRANSMIT | ((retries + 1) << 2),
+            _META_RETRANSMIT | ((retries + 1) << 2), rank,
         )
 
     def _emit_row(
         self, t: float, mid: int, node: int, src: int, dst: int,
-        nb: float, fl: int, meta: int,
+        nb: float, fl: int, meta: int, key: int,
     ) -> None:
+        row = (t, mid, node, src, dst, nb, fl, meta, key)
         if self.owner[node] == self.shard:
-            row = (t, mid, node, src, dst, nb, fl, meta)
             if t < self._fstop:
                 # Executes this window; the checkpoint mirror only needs
                 # rows that survive past the stop (``_frest``).
@@ -2028,7 +2275,7 @@ class _VectorWorker(_WorkerBase):
             else:
                 self._frest.append(row)
         else:
-            self._fout.append((t, mid, node, src, dst, nb, fl, meta))
+            self._fout.append(row)
 
     def _count_rel(self, fl: int, slot: int) -> None:
         """Run-level reliability counter bump (slot 0 drops, 1
@@ -2114,9 +2361,7 @@ class _VectorWorker(_WorkerBase):
         """Recompute failure masks from the (just mutated) topology
         copy and drop the route memo — outage transitions are rare, so
         a full refresh keeps the hot path branch-free."""
-        self.link_down = np.fromiter(
-            (ln.failed for ln in self.links), np.bool_, len(self.links)
-        )
+        self.link_down = self.link_column("failed", np.bool_)
         self.node_failed[:] = False
         for s in self.topology._failed_switches:
             self.node_failed[self.index.idx[s]] = True
@@ -2198,19 +2443,8 @@ class _VectorWorker(_WorkerBase):
         return ("fr", self.link_flush(), self.busy_state(), None, self.now)
 
     def recall(self) -> tuple:
-        arrivals = []
-        if self.pend is not None:
-            t, mid, node, meta = (
-                self.pend[0], self.pend[1], self.pend[2], self.pend[7]
-            )
-            order = np.lexsort((mid, t))
-            # mid is creation order — it stands in for the heap seq.
-            for i in order:
-                arrivals.append((
-                    float(t[i]), int(mid[i]), int(mid[i]), int(node[i]),
-                    int(meta[i]),
-                ))
         return (
-            "rcr", arrivals, [], self._stats_delta(), self.link_flush(),
-            self.busy_state(), None, self.now,
+            "rcr", _batch_arrivals(_concat_batches(self.pend)), [],
+            self._stats_delta(), self.link_flush(), self.busy_state(), None,
+            self.now,
         )

@@ -79,6 +79,11 @@ class Router:
         return self.select(src, dst, self.topology.paths(src, dst))
 
     def next_hop(self, node: NodeId, dst: NodeId) -> NodeId:
+        return self._next_hop(node, dst)
+
+    def _next_hop(self, node: NodeId, dst: NodeId) -> NodeId:
+        """Policy hook behind :meth:`next_hop` (which stays the one
+        public entry point, so callers and tracers see every hop)."""
         return self.route(node, dst)[1]
 
     def path_links(self, src: NodeId, dst: NodeId) -> list[Link]:
@@ -181,6 +186,54 @@ class UpDownRouter(Router):
     def __init__(self, topology: Topology, seed: int = 0) -> None:
         super().__init__(topology, seed)
         self._salt = ecmp_salt(seed)
+        #: Per-node hop tables, built on the first :meth:`next_hop`.
+        self._tables: tuple | None = None
+
+    def _build_tables(self) -> tuple:
+        """``node -> (kind, num, leaf)`` for every node (kind 0 host,
+        1 leaf, 2 spine; ``leaf`` the node's own leaf, or its
+        attachment leaf for a host) plus the spine names by number.
+        Node ids are parsed once here instead of on every hop."""
+        topo = self.topology
+        hpl = topo.hosts_per_leaf
+        leaves = topo.leaves
+        info = {
+            host: (0, i, leaves[i // hpl]) for i, host in enumerate(topo.hosts)
+        }
+        for j, leaf in enumerate(leaves):
+            info[leaf] = (1, j, leaf)
+        spines = topo.spines
+        for k, spine in enumerate(spines):
+            info[spine] = (2, k, None)
+        return info, spines
+
+    def _next_hop(self, node: NodeId, dst: NodeId) -> NodeId:
+        """O(1) equivalent of ``route(node, dst)[1]``."""
+        tables = self._tables
+        if tables is None:
+            if not isinstance(self.topology, FatTreeTopology):
+                return self.topology.route(node, dst)[1]
+            tables = self._tables = self._build_tables()
+        info, spines = tables
+        try:
+            kind, num, leaf = info[node]
+            dkind, dnum, dleaf = info[dst]
+        except KeyError as exc:
+            raise ValueError(f"unknown node {exc.args[0]}") from None
+        if node == dst:
+            raise ValueError(f"{node} is the destination; no next hop")
+        if kind == 0:
+            return leaf
+        if kind == 2:
+            if dkind == 2:
+                raise ValueError(f"no spine-to-spine path ({node} -> {dst})")
+            return dleaf
+        if dkind == 2:
+            return dst
+        if dleaf == node:
+            return dst
+        key = (num << 34) ^ ((dkind != 0) << 33) ^ dnum ^ self._salt
+        return spines[mix64(key) % len(spines)]
 
     def spine_index(self, leaf_idx: int, dst: NodeId) -> int:
         """Deterministic spine pick for traffic at leaf ``l<leaf_idx>``

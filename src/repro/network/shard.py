@@ -37,6 +37,7 @@ to the sequential engine rather than erroring (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -131,8 +132,8 @@ def build_index(topology: Topology, owner: np.ndarray | None = None) -> ShardInd
     n = len(names)
     if owner is None:
         owner = np.full(n, COORDINATOR, dtype=np.int64)
-    links = topology.links()
-    link_keys = [link.key for link in links]
+    link_keys = list(topology._links)
+    links = topology._links.values()
     link_src = np.fromiter((idx[a] for a, _ in link_keys), np.int64, len(link_keys))
     link_dst = np.fromiter((idx[b] for _, b in link_keys), np.int64, len(link_keys))
     link_rate = np.fromiter((ln.bytes_per_ns for ln in links), np.float64, len(links))
@@ -154,21 +155,27 @@ def build_index(topology: Topology, owner: np.ndarray | None = None) -> ShardInd
         _lookup_perm=perm.astype(np.int64),
     )
     if isinstance(topology, FatTreeTopology):
+        # Hosts come first, in number order; switch names parse once.
+        n_hosts = topology.n_hosts
         kind = np.zeros(n, dtype=np.int64)
         num = np.zeros(n, dtype=np.int64)
-        host_leaf_node = np.zeros(n, dtype=np.int64)
+        num[:n_hosts] = np.arange(n_hosts)
         spine_node = np.zeros(topology.n_spines, dtype=np.int64)
-        for i, name in enumerate(names):
+        leaf_node = np.zeros(topology.n_leaves, dtype=np.int64)
+        for i in range(n_hosts, n):
+            name = names[i]
             value = int(name[1:])
             num[i] = value
             if name[0] == "l":
                 kind[i] = 1
-            elif name[0] == "s":
+                leaf_node[value] = i
+            else:
                 kind[i] = 2
                 spine_node[value] = i
-        for i, name in enumerate(names):
-            if kind[i] == 0:
-                host_leaf_node[i] = idx[topology.leaf_of(name)]
+        host_leaf_node = np.zeros(n, dtype=np.int64)
+        host_leaf_node[:n_hosts] = leaf_node[
+            np.arange(n_hosts) // topology.hosts_per_leaf
+        ]
         index.kind = kind
         index.num = num
         index.host_leaf_node = host_leaf_node
@@ -222,6 +229,38 @@ def updown_next_hop_vec(
     return out
 
 
+def _host_links(topology: Topology) -> list[tuple[NodeId, NodeId]]:
+    """Healthy ``(switch, host)`` links, from one scan of the link
+    table (the full adjacency build costs far more at scale)."""
+    failed = topology._failed_links
+    is_switch = topology.is_switch
+    return [
+        key for key in topology._links
+        if is_switch(key[0]) and not is_switch(key[1]) and key not in failed
+    ]
+
+
+def plan_obstacle(topology: Topology) -> str | None:
+    """Why ``topology`` admits no one-shard plan (None when it does).
+
+    Cheap, for deciding at engine construction; :func:`plan_shards`
+    raises :class:`ShardingError` under the same conditions."""
+    links = topology._links
+    if not links:
+        return "topology has no links"
+    if not any(topology.is_switch(a) for a, _ in links):
+        return "topology has no switches to shard"
+    failed = topology._failed_links
+    if not any(
+        not topology.is_switch(b) and (a, b) not in failed
+        for a, b in links if topology.is_switch(a)
+    ):
+        return "no edge switch to anchor a shard"
+    if min(map(attrgetter("latency_ns"), links.values())) <= 0.0:
+        return "zero-latency links leave conservative sync no lookahead"
+    return None
+
+
 def plan_shards(
     topology: Topology,
     n_shards: int,
@@ -235,30 +274,28 @@ def plan_shards(
     """
     if n_shards < 1:
         raise ShardingError(f"n_shards must be >= 1, got {n_shards}")
-    switches = sorted(topology.switches, key=_natural_key)
+    index = build_index(topology)
+    switches = sorted(index.names[topology.n_hosts:], key=_natural_key)
     if not switches:
         raise ShardingError("topology has no switches to shard")
-    edge = [
-        s
-        for s in switches
-        if any(not topology.is_switch(p) for p in topology.neighbors(s))
-    ]
-    core = [s for s in switches if s not in set(edge)]
+    host_links = _host_links(topology)
+    edge_set = {sw for sw, _ in host_links}
+    edge = [s for s in switches if s in edge_set]
+    core = [s for s in switches if s not in edge_set]
     if len(edge) < n_shards:
         raise ShardingError(
             f"workers={n_shards} exceeds the {len(edge)} edge switches "
             "available to anchor shards"
         )
-    links = topology.links()
+    links = topology._links
     if not links:
         raise ShardingError("topology has no links")
-    lookahead = min(link.latency_ns for link in links)
+    lookahead = min(link.latency_ns for link in links.values())
     if lookahead <= 0.0:
         raise ShardingError(
             "zero-latency links leave conservative sync no lookahead"
         )
 
-    index = build_index(topology)
     owner = index.owner
     shard_nodes: list[list[NodeId]] = [[] for _ in range(n_shards)]
     # Contiguous balanced chunks of edge switches keep racks together.
@@ -272,8 +309,14 @@ def plan_shards(
         owner[index.idx[name]] = shard
         shard_nodes[shard].append(name)
     if not coordinator_hosts:
+        # Each host follows its attachment switch: the first in sorted
+        # order, as ``Topology.attach_switch`` picks it.
+        attach: dict[NodeId, NodeId] = {}
+        for sw, host in host_links:
+            if host not in attach or sw < attach[host]:
+                attach[host] = sw
         for host in topology.hosts:
-            shard = int(owner[index.idx[topology.attach_switch(host)]])
+            shard = int(owner[index.idx[attach[host]]])
             owner[index.idx[host]] = shard
             shard_nodes[shard].append(host)
     link_owner = owner[index.link_src]

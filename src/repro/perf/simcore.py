@@ -57,11 +57,11 @@ OVERLAP_SCENARIOS = (
 )
 OVERLAP_WEIGHTS = (4.0, 1.0)
 
-#: Sharded-engine scaling sweep (tentpole PR): a cross-rack transport
-#: storm on a fat tree, sequential engine vs the window-synchronized
-#: PDES at increasing worker counts.  Send times are staggered on a
-#: 3 ns grid so FIFO service order is tie-free and the runs are
-#: bitwise-comparable.
+#: Sharded-engine scaling sweep: a cross-rack transport storm on a fat
+#: tree, the per-event oracle vs the window-synchronized PDES in
+#: process (``workers=0``) and at increasing worker counts.  Send times
+#: sit on a 3 ns grid of 97 slots, so many sends share an instant: the
+#: parity check also pins the engines' same-instant tie order.
 SHARD_WORKER_COUNTS = (1, 2, 4, 8)
 SHARD_STORM = {
     "n_hosts": 8192, "hosts_per_leaf": 32, "n_spines": 16,
@@ -230,20 +230,28 @@ def _run_overlap(reps: int) -> dict:
 # ----------------------------------------------------------------------
 # Sharded-engine scaling sweep
 # ----------------------------------------------------------------------
-def _shard_storm(workers: int, cfg: dict, collect: bool = False) -> dict:
+def _shard_storm(
+    workers: int, cfg: dict, collect: bool = False, oracle: bool = False
+) -> dict:
     """One transport storm run; ``collect`` gathers the full arrival
-    log for parity checking (never inside a timed measurement)."""
+    log for parity checking (never inside a timed measurement).
+    ``oracle`` runs the per-event engine (``workers`` is ignored);
+    otherwise ``build_engine(workers=...)`` picks the engine, which for
+    ``workers=0`` is the in-process window engine."""
     from repro.network import FatTreeTopology, Message
-    from repro.pspin.pdes import build_engine
+    from repro.pspin.pdes import build_engine, sequential_engine
 
     topo = FatTreeTopology(
         n_hosts=cfg["n_hosts"], hosts_per_leaf=cfg["hosts_per_leaf"],
         n_spines=cfg["n_spines"],
     )
-    sim, net = build_engine(
-        topo, workers=workers, router="updown", arbitration="fifo",
-        coordinator_hosts=False,
-    )
+    if oracle:
+        sim, net = sequential_engine(topo, router="updown", arbitration="fifo")
+    else:
+        sim, net = build_engine(
+            topo, workers=workers, router="updown", arbitration="fifo",
+            coordinator_hosts=False,
+        )
     arrivals: list = []
     if collect:
         for h in topo.hosts:
@@ -281,9 +289,12 @@ def _shard_storm(workers: int, cfg: dict, collect: bool = False) -> dict:
 
 
 def _run_shard_sweep(reps: int, worker_counts) -> dict:
-    parity_ref = _shard_storm(0, SHARD_PARITY, collect=True)
+    # workers=0 is the in-process window engine; the reference is
+    # always the per-event oracle.
+    sweep = (0, *worker_counts)
+    parity_ref = _shard_storm(0, SHARD_PARITY, collect=True, oracle=True)
     parity = []
-    for w in worker_counts:
+    for w in sweep:
         run = _shard_storm(w, SHARD_PARITY, collect=True)
         ok = (
             run["arrivals"] == parity_ref["arrivals"]
@@ -297,10 +308,12 @@ def _run_shard_sweep(reps: int, worker_counts) -> dict:
                 "diverged from the sequential engine"
             )
 
-    base_wall = _best_of(lambda: _shard_storm(0, SHARD_STORM), reps)
-    base = _shard_storm(0, SHARD_STORM)
+    base_wall = _best_of(
+        lambda: _shard_storm(0, SHARD_STORM, oracle=True), reps
+    )
+    base = _shard_storm(0, SHARD_STORM, oracle=True)
     points = []
-    for w in worker_counts:
+    for w in sweep:
         wall = _best_of(lambda: _shard_storm(w, SHARD_STORM), reps)
         run = _shard_storm(w, SHARD_STORM)
         if (run["events"], run["makespan_ns"]) != (
@@ -313,18 +326,20 @@ def _run_shard_sweep(reps: int, worker_counts) -> dict:
         speedup = base_wall / wall
         points.append({
             "workers": w,
+            "engine": "in-process" if w == 0 else "forked",
             "wall_s": wall,
             "events_per_s": run["events"] / wall,
             "speedup_vs_sequential": speedup,
-            "parallel_efficiency": speedup / w,
+            "parallel_efficiency": speedup / w if w else None,
         })
     report = {
         "storm": dict(SHARD_STORM),
         "cpu_count": os.cpu_count(),
         "note": (
-            "single-box measurement; the gain is dominated by vectorized "
-            "window execution (numpy batches instead of per-event "
-            "dispatch), not core-level parallelism"
+            "single-box measurement; 'sequential' is the per-event "
+            "oracle and workers=0 the in-process window engine; the gain "
+            "is dominated by vectorized window execution (numpy batches "
+            "instead of per-event dispatch), not core-level parallelism"
         ),
         "sequential": {
             "wall_s": base_wall,
@@ -526,7 +541,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.30)
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="cap the sharded-engine sweep at N workers "
-                        "(default: the full 1/2/4/8 sweep; 0 skips it)")
+                        "(default: the full 1/2/4/8 sweep, plus the "
+                        "in-process engine; 0 skips the sweep)")
     args = parser.parse_args(argv)
 
     if args.workers is None:
@@ -557,10 +573,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         seq_rate = shard["sequential"]["events_per_s"]
         print(f"[simcore] shard sweep (sequential {seq_rate / 1e3:.0f}k ev/s):")
         for p in shard["points"]:
-            print(f"[simcore]   {p['workers']}w: "
+            efficiency = p["parallel_efficiency"]
+            print(f"[simcore]   {p['workers']}w ({p['engine']}): "
                   f"{p['events_per_s'] / 1e3:.0f}k ev/s "
-                  f"=> {p['speedup_vs_sequential']:.2f}x "
-                  f"(efficiency {p['parallel_efficiency']:.2f})")
+                  f"=> {p['speedup_vs_sequential']:.2f}x"
+                  + (f" (efficiency {efficiency:.2f})"
+                     if efficiency is not None else ""))
         scale = shard.get("scale_100k")
         if scale:
             print(f"[simcore] 100k-host scale run: {scale['events']} events "

@@ -1,25 +1,38 @@
-"""Engine backends: sequential DES vs sharded conservative PDES.
+"""Engine backends: per-event DES vs window-vectorized conservative PDES.
 
-The sequential :class:`~repro.pspin.engine.Simulator` stays the default
-engine and the parity oracle; this module is the seam that lets the
-fabric (and the bench harness) swap in the sharded parallel engine
-without any caller-visible API change:
-
+This module is the seam that lets the fabric (and the bench harness)
+pick an engine without any caller-visible API change:
 ``build_engine(topology, workers=N, ...)`` returns a ``(sim, net)``
-pair.  ``workers=0`` (the default) builds the classic pair.  ``workers
->= 1`` partitions the fabric (``repro.network.shard``), spins the
-window-synchronized coordinator (``repro.network.parallel``), and
-returns a :class:`ShardedSimulator` whose ``run``/``run_stoppable``/
-``step`` drive the PDES barrier protocol — every existing driver loop
-(``Fabric.run_until``, service engine, benches) works unchanged.
+pair.
+
+* ``workers >= 1`` partitions the fabric (``repro.network.shard``),
+  forks that many worker processes behind the window-synchronized
+  coordinator (``repro.network.parallel``), and returns a
+  :class:`ShardedSimulator` whose ``run``/``run_stoppable``/``step``
+  drive the PDES barrier protocol.
+* ``workers=0`` (the default) forks nothing.  A FIFO fabric under a
+  cacheable routing policy still gets the window engine: its one shard
+  runs *in the coordinator process* behind the same barrier protocol,
+  because window vectorization, not parallelism, is where the
+  sharded engine's speed comes from.  Everything else — WFQ
+  arbitration (every ``Fabric`` by default), adaptive routing, a
+  topology with no shard plan — gets the classic per-event pair.
+
+Either way every existing driver loop (``Fabric.run_until``, service
+engine, benches) works unchanged.  :func:`sequential_engine` always
+builds the per-event pair: it is the parity oracle every engine is
+checked against bitwise.  DESIGN.md ("Engines: one per-event oracle,
+one window engine") records why.
 
 Synchronization strategies are pluggable via ``SYNC_STRATEGIES``
 (currently ``"window"``: conservative time-stepping with the fabric's
 minimum link latency as lookahead; null-message CMB is a documented
-extension point).  Any reason the sharded engine cannot engage — no
+extension point).  Any reason requested workers cannot engage — no
 clean cut, more workers than edge switches, a non-cacheable routing
-policy, an armed fault injector — degrades *gracefully*: a
-``RuntimeWarning`` and the sequential engine, never an error.
+policy — degrades *gracefully*: a ``RuntimeWarning`` and the per-event
+engine, never an error.  The in-process engine was never asked for, so
+its own disengagements (interceptors, armed faults) are silent and
+only recorded in ``net.degradations``.
 
 Conservative window protocol (coordinator side)
 -----------------------------------------------
@@ -182,7 +195,16 @@ class ShardedSimulator(Simulator):
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
-def _sequential(topology, router, routing_seed, arbitration):
+def sequential_engine(
+    topology, router=None, routing_seed: int = 0, arbitration: str = "wfq"
+):
+    """The classic per-event ``(Simulator, NetworkSimulator)`` pair.
+
+    The parity oracle: every other engine must reproduce its results
+    bitwise, so tests and benches build their references here rather
+    than through :func:`build_engine` (which may pick a window engine
+    even for ``workers=0``).
+    """
     from repro.network.simulator import NetworkSimulator
 
     sim = Simulator()
@@ -219,6 +241,37 @@ def _window_backend(
     return sim, net
 
 
+def _in_process_backend(
+    topology, router, routing_seed, arbitration, coordinator_hosts
+):
+    """The window engine with its one shard in this process, or the
+    per-event pair when the fabric cannot use it.  Planning is deferred
+    to the first barrier: at scale it costs more than building the
+    rest of the engine."""
+    from repro.network.routing import build_router
+
+    policy = build_router(router, topology, seed=routing_seed)
+    if arbitration != "fifo" or not policy.cacheable:
+        return sequential_engine(topology, policy, routing_seed, arbitration)
+    # Imported only here: a per-event run never loads the window engine.
+    from repro.network.parallel import ShardedNetworkSimulator
+    from repro.network.shard import plan_obstacle
+
+    if plan_obstacle(topology) is not None:
+        return sequential_engine(topology, policy, routing_seed, arbitration)
+    sim = ShardedSimulator()
+    net = ShardedNetworkSimulator(
+        topology,
+        router=policy,
+        routing_seed=routing_seed,
+        sim=sim,
+        arbitration=arbitration,
+        in_process=True,
+        coordinator_hosts=coordinator_hosts,
+    )
+    return sim, net
+
+
 #: Pluggable conservative-sync strategies for the sharded engine.
 #: ``"window"`` is lookahead-wide time-stepping; null-message CMB would
 #: register here.
@@ -234,11 +287,17 @@ def build_engine(
     coordinator_hosts: bool = True,
     sync: str = "window",
 ):
-    """Build a ``(sim, net)`` engine pair, sharded when requested.
+    """Build a ``(sim, net)`` engine pair.
 
-    Every sharding failure degrades to the sequential engine with a
-    :class:`RuntimeWarning` naming the reason — callers never have to
-    guard ``workers=N`` against topology shape.
+    ``workers`` counts worker *processes*.  ``workers >= 1`` builds the
+    sharded engine over that many forked workers; every sharding
+    failure degrades to the per-event engine with a
+    :class:`RuntimeWarning` naming the reason, so callers never have to
+    guard ``workers=N`` against topology shape.  ``workers=0`` forks
+    nothing: FIFO arbitration under a cacheable router runs the window
+    engine in this process, anything else is the per-event pair (see
+    the module docstring; :func:`sequential_engine` always builds the
+    latter).
     """
     if workers and workers > 0:
         try:
@@ -264,4 +323,7 @@ def build_engine(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return _sequential(topology, router, routing_seed, arbitration)
+        return sequential_engine(topology, router, routing_seed, arbitration)
+    return _in_process_backend(
+        topology, router, routing_seed, arbitration, coordinator_hosts
+    )

@@ -175,3 +175,53 @@ def test_contention_on_any_topology(policy, family):
     net.run()
     assert len(arrivals) == n_flows
     assert max(arrivals) - min(arrivals) >= 10000.0 * 0.99
+
+
+# ----------------------------------------------------------------------
+# Up-down routing: the O(1) hop tables agree with the full path
+# ----------------------------------------------------------------------
+def _route_hop(router, node, dst):
+    try:
+        return router.route(node, dst)[1]
+    except ValueError:
+        return ValueError
+
+
+def _table_hop(router, node, dst):
+    try:
+        return router.next_hop(node, dst)
+    except ValueError:
+        return ValueError
+
+
+def test_updown_next_hop_matches_route_over_random_pairs():
+    """200k random (node, dst) pairs, hosts and switches alike, on the
+    storm-scale tree and an oversubscribed one: the table hop is the
+    second node of ``route`` — or the same ``ValueError`` for a
+    spine-to-spine pair."""
+    import numpy as np
+
+    shapes = [
+        {"n_hosts": 8192, "hosts_per_leaf": 32, "n_spines": 16},
+        {"n_hosts": 48, "hosts_per_leaf": 8, "n_spines": 3},
+    ]
+    rng = np.random.default_rng(11)
+    for shape, n_pairs in zip(shapes, (150_000, 50_000)):
+        topo = FatTreeTopology(**shape)
+        router = build_router("updown", topo, seed=5)
+        nodes = topo.hosts + topo.switches
+        pairs = rng.integers(0, len(nodes), size=(n_pairs, 2))
+        mismatches = [
+            (nodes[a], nodes[b]) for a, b in pairs.tolist()
+            if a != b and _route_hop(router, nodes[a], nodes[b])
+            != _table_hop(router, nodes[a], nodes[b])
+        ]
+        assert mismatches == []
+
+
+def test_updown_next_hop_spine_to_spine_is_an_error():
+    router = build_router("updown", _oversubscribed())
+    with pytest.raises(ValueError, match="spine-to-spine"):
+        router.next_hop("s0", "s1")
+    with pytest.raises(ValueError, match="spine-to-spine"):
+        router.route("s0", "s1")

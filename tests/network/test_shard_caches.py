@@ -19,7 +19,7 @@ bytes over failed links (sequential) or desynchronize the shards
 import pytest
 
 from repro.network import FatTreeTopology, Message, NetworkSimulator
-from repro.pspin.pdes import build_engine
+from repro.pspin.pdes import build_engine, sequential_engine
 
 
 def _uplinks_used(net, leaf="l0"):
@@ -78,10 +78,13 @@ def test_next_hop_memo_recovers_after_repair():
 def _two_phase(workers, mutate):
     """Storm, mid-run topology mutation, second storm; parity digest."""
     topo = FatTreeTopology(n_hosts=64, hosts_per_leaf=8, n_spines=4)
-    sim, net = build_engine(
-        topo, workers=workers, router="ecmp", arbitration="fifo",
-        coordinator_hosts=False,
-    )
+    if workers:
+        sim, net = build_engine(
+            topo, workers=workers, router="ecmp", arbitration="fifo",
+            coordinator_hosts=False,
+        )
+    else:
+        sim, net = sequential_engine(topo, router="ecmp", arbitration="fifo")
     arrivals = []
     for h in topo.hosts:
         net.on_deliver(h, lambda m, t, h=h: arrivals.append((h, m.src, t)))

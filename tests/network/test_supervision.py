@@ -18,7 +18,7 @@ import warnings
 import pytest
 
 from repro.network import FatTreeTopology, Message
-from repro.pspin.pdes import build_engine
+from repro.pspin.pdes import build_engine, sequential_engine
 
 _LOSSY = [{"kind": "lossy", "link": "*", "at": 0.0, "loss_rate": 0.05,
            "duplicate_rate": 0.03}]
@@ -27,10 +27,15 @@ _LOSSY = [{"kind": "lossy", "link": "*", "at": 0.0, "loss_rate": 0.05,
 def _storm(workers, arbitration="fifo", faults=None, sig=None,
            kill_at=5000.0):
     topo = FatTreeTopology(n_hosts=64, hosts_per_leaf=8, n_spines=4)
-    sim, net = build_engine(
-        topo, workers=workers, router="updown", arbitration=arbitration,
-        coordinator_hosts=False,
-    )
+    if workers:
+        sim, net = build_engine(
+            topo, workers=workers, router="updown", arbitration=arbitration,
+            coordinator_hosts=False,
+        )
+    else:
+        sim, net = sequential_engine(
+            topo, router="updown", arbitration=arbitration
+        )
     arrivals = []
     for h in topo.hosts:
         net.on_deliver(

@@ -27,7 +27,7 @@ from repro.core.allreduce import plan_switch_allreduce
 from repro.network import FatTreeTopology, Message
 from repro.network.faults import FaultSpec
 from repro.network.simulator import NetworkSimulator
-from repro.pspin.pdes import build_engine
+from repro.pspin.pdes import build_engine, sequential_engine
 from repro.provenance.collect import (
     LINK_COUNTER_FAMILIES,
     SWITCH_COUNTER_FAMILIES,
@@ -50,10 +50,15 @@ def _storm_links(workers, arbitration="fifo", flows=False, incast=False):
     The optional incast drives WFQ queues deep enough to record
     nonzero ``queue_depth_peak`` on contended links."""
     topo = FatTreeTopology(n_hosts=64, hosts_per_leaf=8, n_spines=4)
-    sim, net = build_engine(
-        topo, workers=workers, router="updown", arbitration=arbitration,
-        coordinator_hosts=False,
-    )
+    if workers:
+        sim, net = build_engine(
+            topo, workers=workers, router="updown", arbitration=arbitration,
+            coordinator_hosts=False,
+        )
+    else:
+        sim, net = sequential_engine(
+            topo, router="updown", arbitration=arbitration
+        )
     hosts = topo.hosts
     n = len(hosts)
     k = 0

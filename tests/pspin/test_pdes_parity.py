@@ -19,7 +19,7 @@ import pytest
 from repro.comm.fabric import Fabric
 from repro.network import FatTreeTopology, Message
 from repro.network.shard import ShardingError, plan_shards
-from repro.pspin.pdes import ShardedSimulator, build_engine
+from repro.pspin.pdes import ShardedSimulator, build_engine, sequential_engine
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -31,10 +31,15 @@ def _storm(workers, arbitration="fifo", flows=False, faults=None,
     topo = FatTreeTopology(
         n_hosts=n_hosts, hosts_per_leaf=8, n_spines=n_spines
     )
-    sim, net = build_engine(
-        topo, workers=workers, router="updown", arbitration=arbitration,
-        coordinator_hosts=False,
-    )
+    if workers:
+        sim, net = build_engine(
+            topo, workers=workers, router="updown", arbitration=arbitration,
+            coordinator_hosts=False,
+        )
+    else:
+        sim, net = sequential_engine(
+            topo, router="updown", arbitration=arbitration
+        )
     arrivals = []
     for h in topo.hosts:
         net.on_deliver(
@@ -177,10 +182,15 @@ def test_wfq_recall_rebuilds_queue_state():
 
     def incast(workers):
         topo = FatTreeTopology(n_hosts=64, hosts_per_leaf=8, n_spines=2)
-        sim, net = build_engine(
-            topo, workers=workers, router="updown", arbitration="wfq",
-            coordinator_hosts=False,
-        )
+        if workers:
+            sim, net = build_engine(
+                topo, workers=workers, router="updown", arbitration="wfq",
+                coordinator_hosts=False,
+            )
+        else:
+            sim, net = sequential_engine(
+                topo, router="updown", arbitration="wfq"
+            )
         arrivals = []
         for h in topo.hosts:
             net.on_deliver(h, lambda m, t, h=h: arrivals.append((h, m.src, t)))
