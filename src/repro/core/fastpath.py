@@ -120,7 +120,7 @@ class _DenseKernelBase:
         self.wm_events.append((t, -float(self.nbytes)))
 
     # -- runner interface ----------------------------------------------
-    def process(self, block_id: int, port: int, dispatch_t: float, start_t: float):
+    def process(self, pkt: int, block_id: int, port: int, dispatch_t: float, start_t: float):
         raise NotImplementedError
 
     def resume(self, cont, now: float):
@@ -200,7 +200,7 @@ class SingleBufferKernel(_DenseKernelBase):
         super().__init__(handler, switch, train, handler_name)
         self._orders: dict[int, list[int]] = {}
 
-    def process(self, block_id: int, port: int, dispatch_t: float, start_t: float):
+    def process(self, pkt: int, block_id: int, port: int, dispatch_t: float, start_t: float):
         cluster = self.block_cluster[block_id]
         rec = self.blocks.get(block_id)
         if rec is None:
@@ -278,7 +278,7 @@ class MultiBufferKernel(_DenseKernelBase):
         #: fold order) for the replay program.
         self._programs: dict[int, tuple[list[list[int]], int, list[int]]] = {}
 
-    def process(self, block_id: int, port: int, dispatch_t: float, start_t: float):
+    def process(self, pkt: int, block_id: int, port: int, dispatch_t: float, start_t: float):
         cluster = self.block_cluster[block_id]
         rec = self.blocks.get(block_id)
         if rec is None:
@@ -398,7 +398,7 @@ class TreeKernel(_DenseKernelBase):
         self.tree = handler.tree
         self._programs: dict[int, tuple[list[tuple], tuple[int, int]]] = {}
 
-    def process(self, block_id: int, port: int, dispatch_t: float, start_t: float):
+    def process(self, pkt: int, block_id: int, port: int, dispatch_t: float, start_t: float):
         cluster = self.block_cluster[block_id]
         rec = self.blocks.get(block_id)
         if rec is None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class Counter:
@@ -49,8 +51,6 @@ class GaugeSeries:
         (the packet-train fast path commits its reconstructed series
         this way): peak and the time-weighted integral are computed
         with array ops, equivalent to per-sample :meth:`record` calls."""
-        import numpy as np
-
         n = len(times)
         if n == 0:
             return
@@ -99,22 +99,32 @@ class DeltaGauge:
         self.events.append((time, delta))
 
     def _profile(self) -> tuple[float, float, float]:
-        """Returns (peak, time_weighted_mean, final_value)."""
+        """Returns (peak, time_weighted_mean, final_value).
+
+        Events are taken in stable time order.  ``np.cumsum`` adds
+        strictly left to right, so the running value and the
+        time-weighted integral are bitwise those of a sequential loop
+        (``np.sum``/``np.dot`` would sum pairwise and drift).
+        """
         if self._cache_len == len(self.events):
             return self._cache
-        events = sorted(self.events, key=lambda e: e[0])
-        value = 0.0
-        peak = 0.0
-        weighted = 0.0
-        last_t = 0.0
-        for t, d in events:
-            weighted += value * (t - last_t)
-            last_t = t
-            value += d
-            peak = max(peak, value)
-        mean = weighted / last_t if last_t > 0 else 0.0
-        self._cache = (peak, mean, value)
-        self._cache_len = len(self.events)
+        n = len(self.events)
+        if n == 0:
+            self._cache = (0.0, 0.0, 0.0)
+        else:
+            events = np.array(self.events, dtype=np.float64)
+            order = np.argsort(events[:, 0], kind="stable")
+            times = events[order, 0]
+            values = np.cumsum(events[order, 1])
+            before = np.empty(n)
+            before[0] = 0.0
+            before[1:] = values[:-1]
+            weighted = float(np.cumsum(before * np.diff(times, prepend=0.0))[-1])
+            last_t = float(times[-1])
+            peak = max(0.0, float(values.max()))
+            mean = weighted / last_t if last_t > 0 else 0.0
+            self._cache = (peak, mean, float(values[-1]))
+        self._cache_len = n
         return self._cache
 
     @property

@@ -3,7 +3,9 @@
 A :class:`PacketTrain` is a struct-of-arrays description of a contiguous
 same-allreduce packet burst (the whole ingress stream of one switch-level
 allreduce in the common case): arrival times, block ids, ingress ports,
-and a dense ``(hosts, blocks, elements)`` payload cube.
+and a dense ``(hosts, blocks, elements)`` payload cube.  A
+:class:`SparsePacketTrain` carries a sparse allreduce's stream instead:
+per-chunk indices and values, shard flags, and per-packet wire bytes.
 
 When a train is injected into an otherwise idle switch
 (:meth:`repro.pspin.switch.PsPINSwitch.inject_train`), the
@@ -26,7 +28,8 @@ model provably coincides with the per-packet DES —
   remote-L1 penalties, per-subset i-caches and L1s);
 * the L2 packet memory never fills (validated *post hoc* against the
   exact occupancy profile — the first would-be deferral aborts);
-* no working-memory admission stalls, drops, or incomplete blocks.
+* no working-memory admission stalls, L1-budget failures, drops, or
+  incomplete blocks.
 
 The moment any of these fail, :func:`try_run_train` abandons the
 (side-effect-free) fast computation and the caller transparently falls
@@ -34,8 +37,12 @@ back to per-packet injection — contention, admission-queueing and drops
 always take the existing DES path.
 
 Kernels for the dense aggregation designs live in
-:mod:`repro.core.fastpath` and register themselves here via
-:func:`register_train_kernel`.
+:mod:`repro.core.fastpath`, the kernel for the sparse handler (hash and
+array storage) in :mod:`repro.sparse.fastpath`; both register
+themselves here via :func:`register_train_kernel`.  The runner is
+shared: it takes per-packet wire bytes, which dense trains give as one
+constant.  DESIGN.md ("The packet-train fast path, dense and sparse")
+explains why the sparse kernel drives real storages.
 """
 
 from __future__ import annotations
@@ -126,7 +133,91 @@ class PacketTrain:
         return self._packets
 
 
-def try_run_train(switch: "PsPINSwitch", train: PacketTrain) -> bool:
+class SparsePacketTrain:
+    """A sparse allreduce's packet burst in struct-of-arrays form.
+
+    Packet ``i`` carries ``(indices[i], values[i])`` — one chunk of a
+    host's block (paper Sec. 7) — plus its shard flags; ``wire_bytes``
+    is per packet, since chunks vary in length.  Packets are in heap
+    order (arrival time, then injection order).
+    """
+
+    __slots__ = (
+        "allreduce_id",
+        "times",
+        "block_ids",
+        "ports",
+        "indices",
+        "values",
+        "last_of_block",
+        "shard_count",
+        "wire_bytes",
+        "_packets",
+    )
+
+    def __init__(
+        self,
+        allreduce_id: int,
+        times,
+        block_ids,
+        ports,
+        indices: list,
+        values: list,
+        last_of_block,
+        shard_count,
+    ) -> None:
+        self.times = np.asarray(times, dtype=np.float64)
+        self.block_ids = np.asarray(block_ids, dtype=np.int64)
+        self.ports = np.asarray(ports, dtype=np.int64)
+        self.last_of_block = np.asarray(last_of_block, dtype=bool)
+        self.shard_count = np.asarray(shard_count, dtype=np.int64)
+        n = len(self.times)
+        if not (
+            len(self.block_ids) == len(self.ports) == len(indices) == len(values)
+            == len(self.last_of_block) == len(self.shard_count) == n
+        ):
+            raise ValueError("sparse train fields must have equal length")
+        self.allreduce_id = allreduce_id
+        self.indices = indices
+        self.values = values
+        self.wire_bytes = np.fromiter(
+            (i.nbytes + v.nbytes + HEADER_BYTES for i, v in zip(indices, values)),
+            dtype=np.int64,
+            count=n,
+        )
+        self._packets: Optional[list[SwitchPacket]] = None
+
+    @property
+    def n_packets(self) -> int:
+        return len(self.times)
+
+    def packets(self) -> list[SwitchPacket]:
+        """The equivalent :class:`SwitchPacket` objects, train order."""
+        if self._packets is None:
+            aid = self.allreduce_id
+            self._packets = [
+                SwitchPacket(
+                    allreduce_id=aid,
+                    block_id=b,
+                    port=p,
+                    payload=v,
+                    indices=i,
+                    last_of_block=last,
+                    shard_count=count,
+                )
+                for b, p, i, v, last, count in zip(
+                    self.block_ids.tolist(),
+                    self.ports.tolist(),
+                    self.indices,
+                    self.values,
+                    self.last_of_block.tolist(),
+                    self.shard_count.tolist(),
+                )
+            ]
+        return self._packets
+
+
+def try_run_train(switch: "PsPINSwitch", train: "PacketTrain | SparsePacketTrain") -> bool:
     """Attempt the analytic fast path; True iff it committed.
 
     Never mutates the switch unless the whole train validated, so the
@@ -238,9 +329,9 @@ class TrainRunner:
     """Exact per-subset replication of the switch event loop for one
     uncontended train, with the per-event Python machinery stripped.
 
-    The simulation phase computes timing and telemetry only (payload
-    values never affect dense handler timing); the payload reductions
-    run once, vectorized, at commit time.
+    The simulation phase computes timing and telemetry; kernels whose
+    timing is payload-independent (the dense ones) defer their payload
+    reductions to commit time, the sparse kernel inserts as it goes.
     """
 
     def __init__(
@@ -259,6 +350,14 @@ class TrainRunner:
         self.handler_invocations = 0
         self.busy_total = 0.0
         self.wait_total = 0.0
+        #: Per-packet wire bytes (dense trains: one constant).
+        self.wire = np.broadcast_to(
+            np.asarray(train.wire_bytes, dtype=np.int64), (train.n_packets,)
+        )
+        #: L2 release instant of each dispatched packet, in dispatch
+        #: order.  Subset queues are FIFO, so a subset dispatches (and
+        #: releases) its packets in arrival order: the releases pair
+        #: with the simulated subsets' ``arr_idx`` lists, concatenated.
         self.l2_release_times: list[float] = []
         #: Per-dispatch records (instant + tie-break keys) for the
         #: queued-packets gauge reconstruction.
@@ -316,26 +415,29 @@ class TrainRunner:
             if getattr(self.kernel, "has_continuations", False)
             else self._run_subset_simple
         )
-        done_arrivals: list[list[float]] = []
-        done_packets = 0
+        done_idx: list[list[int]] = []
+        done_bytes = 0
         capacity = self.switch.memories.l2_packet.capacity_bytes
-        wire = self.train.wire_bytes
+        wire = self.wire
         for st in self.subsets:
             if not st.arr_idx:
                 continue
             run(st)
-            done_arrivals.append(st.arr_times)
-            done_packets += len(st.arr_times)
+            done_idx.append(st.arr_idx)
+            done_bytes += int(wire[st.arr_idx].sum())
             # Incremental lower-bound check: the simulated subsets'
             # packets alone (a pointwise lower bound on occupancy) must
             # already fit the L2 input buffers — a contended train
             # aborts after a fraction of the sweep instead of at the
             # end.  Skipped while the simulated packets could not fill
             # the buffers even if they all overlapped.
-            if done_packets * wire > capacity:
-                self._check_l2(done_arrivals, self.l2_release_times)
+            if done_bytes > capacity:
+                done = np.concatenate(done_idx)
+                self._check_l2(done, done)
         self.kernel.finish_check()
-        self._validate_l2()
+        self._validate_l2(
+            np.concatenate(done_idx) if done_idx else np.empty(0, dtype=np.int64)
+        )
         self.end_time = max(
             float(self.train.times[-1]),
             max(self.l2_release_times, default=0.0),
@@ -414,7 +516,7 @@ class TrainRunner:
                 start += icache_fill
                 self.icache_fills += 1
             finish, wait, _cont = kernel_process(
-                arr_blocks[k], arr_ports[k], now, start
+                arr_idx[k], arr_blocks[k], arr_ports[k], now, start
             )
             disp_t.append(now)
             disp_p.append(pri)
@@ -473,11 +575,14 @@ class TrainRunner:
                 start += icache_fill
                 self.icache_fills += 1
             finish, wait, cont = kernel_process(
-                arr_blocks[k], arr_ports[k], now, start
+                arr_idx[k], arr_blocks[k], arr_ports[k], now, start
             )
             disp_t.append(now)
             disp_p.append(pri)
             disp_s.append(seq)
+            # Input buffers hold queueing + service of the packet
+            # handler (its primary completion); extensions work in L1.
+            l2_release.append(finish)
             busy[slot] = finish
             pending[slot] = cont is not None
             handlers_run[slot] += 1
@@ -485,7 +590,7 @@ class TrainRunner:
             invocations += 1
             busy_total += finish - now
             wait_total += wait
-            heappush(comp_heap, (finish, comp_seq, slot, True, cont))
+            heappush(comp_heap, (finish, comp_seq, slot, cont))
             comp_seq += 1
 
         def dispatch(now: float, pri: int, seq: int) -> None:
@@ -511,11 +616,7 @@ class TrainRunner:
                 # Completion event (priority 0 beats same-instant
                 # arrivals; same-instant completions pop in scheduling
                 # order via comp_seq).
-                t, _seq, slot, primary, cont = heappop(comp_heap)
-                if primary:
-                    # Input buffers hold queueing + service of the
-                    # packet handler; extensions work in L1 only.
-                    l2_release.append(t)
+                t, _seq, slot, cont = heappop(comp_heap)
                 extended = False
                 if cont is not None:
                     nxt = kernel_resume(cont, t)
@@ -526,9 +627,7 @@ class TrainRunner:
                         handlers_run[slot] += 1      # occupy() counts these
                         busy_cycles[slot] += finish - t
                         busy_total += finish - t
-                        heappush(
-                            comp_heap, (finish, comp_seq, slot, False, cont2)
-                        )
+                        heappush(comp_heap, (finish, comp_seq, slot, cont2))
                         comp_seq += 1
                         extended = True
                     else:
@@ -562,13 +661,16 @@ class TrainRunner:
         self.last_completion = last_completion
 
     # ------------------------------------------------------------------
-    def _l2_profile(self, arrivals, releases):
-        wire = self.train.wire_bytes
-        n_a, n_r = len(arrivals), len(releases)
-        times = np.concatenate([arrivals, np.asarray(releases)])
-        deltas = np.concatenate(
-            [np.full(n_a, wire, dtype=np.int64), np.full(n_r, -wire, dtype=np.int64)]
+    def _l2_profile(self, arrival_pkts, release_pkts):
+        """L2 occupancy after each event: +wire at the arrival of each of
+        ``arrival_pkts``, -wire at each recorded release, which frees
+        the matching packet of ``release_pkts``."""
+        wire = self.wire
+        n_a, n_r = len(arrival_pkts), len(self.l2_release_times)
+        times = np.concatenate(
+            [self.train.times[arrival_pkts], np.asarray(self.l2_release_times)]
         )
+        deltas = np.concatenate([wire[arrival_pkts], -wire[release_pkts]])
         # Releases (priority 0) settle before same-instant arrivals.
         pri = np.concatenate(
             [np.ones(n_a, dtype=np.int8), np.zeros(n_r, dtype=np.int8)]
@@ -576,20 +678,19 @@ class TrainRunner:
         order = np.lexsort((pri, times))
         return times[order], np.cumsum(deltas[order])
 
-    def _check_l2(self, arrival_lists, releases) -> None:
-        arrivals = np.concatenate([np.asarray(a) for a in arrival_lists])
-        _times, occ = self._l2_profile(arrivals, releases)
+    def _check_l2(self, arrival_pkts, release_pkts) -> None:
+        _times, occ = self._l2_profile(arrival_pkts, release_pkts)
         if int(occ.max(initial=0)) > self.switch.memories.l2_packet.capacity_bytes:
             raise FastPathAbort("L2 packet memory would back-pressure")
 
-    def _validate_l2(self) -> None:
+    def _validate_l2(self, release_pkts) -> None:
         """Exact L2 packet-memory occupancy check: the DES would defer
         (or drop) the first arrival that does not fit; any overshoot
         invalidates the analytic timing, so the fast path aborts."""
         n = self.train.n_packets
         if len(self.l2_release_times) != n:
             raise FastPathAbort("not every packet completed")
-        times, occ = self._l2_profile(self.train.times, self.l2_release_times)
+        times, occ = self._l2_profile(np.arange(n), release_pkts)
         if int(occ.max(initial=0)) > self.switch.memories.l2_packet.capacity_bytes:
             raise FastPathAbort("L2 packet memory would back-pressure")
         self._l2_occ = occ
@@ -603,10 +704,9 @@ class TrainRunner:
         train = self.train
         tel = switch.telemetry
         n = train.n_packets
-        wire = train.wire_bytes
 
         tel.packets_in.add(n)
-        tel.bytes_in.add(n * wire)
+        tel.bytes_in.add(int(self.wire.sum()))
         tel.handler_invocations.add(self.handler_invocations)
         tel.busy_cycles.add(self.busy_total)
         tel.contention_wait_cycles.add(self.wait_total)

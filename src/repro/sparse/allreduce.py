@@ -15,10 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.staggered import arrival_stream
+import repro.sparse.fastpath  # noqa: F401  (registers the sparse train kernel)
+from repro.core.staggered import arrival_arrays
 from repro.pspin.costs import CostModel
-from repro.pspin.packets import SwitchPacket
+from repro.pspin.packets import HEADER_BYTES
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
+from repro.pspin.train import SparsePacketTrain
 from repro.sparse.formats import SparseWorkload, make_sparse_workload, packetize_block
 from repro.sparse.handlers import SparseAggregationHandler, SparseHandlerConfig
 from repro.sparse.models import SPARSE_ELEMENT_BYTES
@@ -53,6 +55,9 @@ class SparseAllreduceResult:
     extra_traffic_pct: float = 0.0
     contention_wait_cycles: float = 0.0
     blocks_completed: int = 0
+    deferred_arrivals: int = 0
+    #: True iff the packet-train fast path simulated the run.
+    fast_path_used: bool = False
     infeasible_reason: str = ""
     outputs: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -183,31 +188,11 @@ def _run_sparse_switch_allreduce(
     # shards from one host go back-to-back.
     delta_full = switch_cfg.packet_interarrival_cycles(packet_bytes)
     delta_sim = delta_full * FULL_CLUSTERS / n_clusters
-    stream = arrival_stream(
-        n_hosts=children,
-        n_blocks=n_blocks,
-        delta=delta_sim,
-        staggered=True,
-        jitter=jitter,
-        seed=seed + 1,
+    train = _sparse_train(
+        workload, elements_per_packet, delta_sim, children, n_blocks, jitter, seed
     )
-    ingress_payload = 0
-    for sp in stream:
-        chunks = packetize_block(
-            workload.blocks[sp.host][sp.block], elements_per_packet
-        )
-        for i, chunk in enumerate(chunks):
-            pkt = SwitchPacket(
-                allreduce_id=1,
-                block_id=chunk.block_id,
-                port=sp.host,
-                payload=chunk.values,
-                indices=chunk.indices,
-                last_of_block=chunk.last_of_block,
-                shard_count=chunk.shard_count,
-            )
-            ingress_payload += chunk.wire_bytes
-            switch.inject(pkt, at=sp.time + i * delta_sim)
+    ingress_payload = int(train.wire_bytes.sum()) - train.n_packets * HEADER_BYTES
+    fast_path_used = switch.inject_train(train)
 
     try:
         makespan = switch.run()
@@ -222,31 +207,30 @@ def _run_sparse_switch_allreduce(
             feasible=False,
             block_memory_bytes=_probe_block_memory(hconf),
             infeasible_reason=str(exc).split(";")[0],
+            deferred_arrivals=int(switch.telemetry.deferred_arrivals.value),
         )
 
-    # Reassemble per-block outputs (final result + spill packets).
-    dense_out: dict[int, np.ndarray] = {}
-    egress_payload = 0
-    for _t, pkt in switch.egress:
-        acc = dense_out.setdefault(
-            pkt.block_id, np.zeros(workload.block_span, dtype=dtype)
-        )
-        np.add.at(acc, pkt.indices, pkt.payload)
-        egress_payload += int(pkt.indices.nbytes + pkt.payload.nbytes)
-    # Ideal egress: the fully aggregated union of each block, once.
-    ideal_egress = 0
-    for b in range(n_blocks):
-        union = set()
-        for h in range(workload.n_hosts):
-            union.update(workload.blocks[h][b].indices.tolist())
-        ideal_egress += len(union) * SPARSE_ELEMENT_BYTES
+    dense_out, egress_payload = _reassemble(switch.egress, workload, dtype)
+    # Every host's contribution, as flat (block * span + index) keys in
+    # host-major order: the ideal egress is their distinct count, the
+    # golden model their per-position sum in host order.
+    span = workload.block_span
+    host_blocks = [blk for host in workload.blocks for blk in host]
+    keys = np.concatenate(
+        [blk.indices.astype(np.int64) + blk.block_id * span for blk in host_blocks]
+    )
+    touched = np.zeros(n_blocks * span, dtype=bool)
+    touched[keys] = True
+    ideal_egress = int(np.count_nonzero(touched)) * SPARSE_ELEMENT_BYTES
     if verify:
+        golden = np.zeros(n_blocks * span, dtype=dtype)
+        np.add.at(golden, keys, np.concatenate([blk.values for blk in host_blocks]))
+        golden = golden.reshape(n_blocks, span)
         for b in range(n_blocks):
-            golden = workload.golden_dense_sum(b)
             got = dense_out.get(b)
             if got is None:
                 raise AssertionError(f"block {b} never completed")
-            if not np.allclose(got[: len(golden)], golden, rtol=1e-5, atol=1e-5):
+            if not np.allclose(got, golden[b], rtol=1e-5, atol=1e-5):
                 raise AssertionError(f"block {b}: sparse aggregation mismatch")
 
     seconds = makespan / (cost_model.clock_ghz * 1e9) if makespan > 0 else float("inf")
@@ -275,8 +259,82 @@ def _run_sparse_switch_allreduce(
         ),
         contention_wait_cycles=switch.telemetry.contention_wait_cycles.value,
         blocks_completed=handler.blocks_completed,
+        deferred_arrivals=int(switch.telemetry.deferred_arrivals.value),
+        fast_path_used=fast_path_used,
         outputs=dense_out,
     )
+
+
+def _sparse_train(
+    workload: SparseWorkload,
+    elements_per_packet: int,
+    delta_sim: float,
+    children: int,
+    n_blocks: int,
+    jitter: float,
+    seed: int,
+) -> SparsePacketTrain:
+    """The whole ingress stream as one train, in heap order.
+
+    Host ``h`` sends block ``b`` at its staggered arrival time; shard
+    ``i`` of that block follows ``i * delta_sim`` later.  A stable sort
+    by time over that (stream, shard) injection order is exactly the
+    order the event heap would deliver the packets in.
+    """
+    times, hosts, blocks = arrival_arrays(
+        n_hosts=children,
+        n_blocks=n_blocks,
+        delta=delta_sim,
+        staggered=True,
+        jitter=jitter,
+        seed=seed + 1,
+    )
+    p_times, p_blocks, p_ports, p_idx, p_vals, p_last, p_count = (
+        [], [], [], [], [], [], []
+    )
+    for t, h, b in zip(times.tolist(), hosts.tolist(), blocks.tolist()):
+        for chunk_i, chunk in enumerate(
+            packetize_block(workload.blocks[h][b], elements_per_packet)
+        ):
+            p_times.append(t + chunk_i * delta_sim)
+            p_blocks.append(chunk.block_id)
+            p_ports.append(h)
+            p_idx.append(chunk.indices)
+            p_vals.append(chunk.values)
+            p_last.append(chunk.last_of_block)
+            p_count.append(chunk.shard_count)
+    order = np.argsort(np.asarray(p_times), kind="stable").tolist()
+    return SparsePacketTrain(
+        1,
+        times=[p_times[i] for i in order],
+        block_ids=[p_blocks[i] for i in order],
+        ports=[p_ports[i] for i in order],
+        indices=[p_idx[i] for i in order],
+        values=[p_vals[i] for i in order],
+        last_of_block=[p_last[i] for i in order],
+        shard_count=[p_count[i] for i in order],
+    )
+
+
+def _reassemble(egress, workload: SparseWorkload, dtype: str):
+    """Per-block dense outputs (final results + spill packets) and the
+    egress payload bytes.  One ``np.add.at`` over the concatenated
+    egress, in list order, adds each position's contributions in the
+    same order as one call per packet would."""
+    if not egress:
+        return {}, 0
+    span = workload.block_span
+    packets = [pkt for _t, pkt in egress]
+    indices = np.concatenate([pkt.indices for pkt in packets])
+    values = np.concatenate([pkt.payload for pkt in packets])
+    block_of = np.array([pkt.block_id for pkt in packets], dtype=np.int64)
+    lengths = np.array([len(pkt.indices) for pkt in packets], dtype=np.int64)
+    present = np.unique(block_of)
+    row = np.searchsorted(present, block_of)
+    acc = np.zeros((len(present), span), dtype=dtype)
+    np.add.at(acc.reshape(-1), np.repeat(row, lengths) * span + indices, values)
+    outputs = {int(b): acc[i] for i, b in enumerate(present.tolist())}
+    return outputs, int(indices.nbytes + values.nbytes)
 
 
 def _probe_block_memory(hconf: SparseHandlerConfig) -> int:

@@ -41,12 +41,15 @@ class ArrayStorage:
             # Duplicate indices within one packet are legal for sum.
             np.add.at(self._values, idx, values)
         else:
+            # Mark as we go: a repeated index within one packet
+            # combines with its earlier occurrence.
             for i, v in zip(idx, values):
                 if self._touched[i]:
                     acc = self._values[i : i + 1]
                     self._op.combine_into(acc, np.asarray([v]))
                 else:
                     self._values[i] = v
+                    self._touched[i] = True
         self._touched[idx] = True
         return []
 

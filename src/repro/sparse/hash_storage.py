@@ -34,6 +34,24 @@ def _slot_of(indices: np.ndarray, n_slots: int) -> np.ndarray:
     )
 
 
+def _all_unique(idx: np.ndarray) -> bool:
+    """True iff ``idx`` has no repeated value.  Flare packets carry
+    sorted positions, so a strictly-increasing check settles nearly
+    every packet without the cost of ``np.unique``."""
+    if len(idx) < 2 or bool((idx[1:] > idx[:-1]).all()):
+        return True
+    return len(np.unique(idx)) == len(idx)
+
+
+def _run_starts(ranked: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in a
+    sorted array."""
+    first = np.empty(len(ranked), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    return first
+
+
 @dataclass
 class SpillEvent:
     """One spill-buffer flush: elements forwarded unaggregated.
@@ -76,8 +94,10 @@ class HashStorage:
         self._keys = np.full(n_slots, -1, dtype=np.int64)
         self._values = np.zeros(n_slots, dtype=dtype)
         self._op = op
-        self._spill_indices: list[int] = []
-        self._spill_values: list = []
+        # Spill buffer, in spill order (arrays are never mutated in
+        # place, so flushed events may keep views of them).
+        self._spill_indices = np.empty(0, dtype=np.int64)
+        self._spill_values = np.empty(0, dtype=dtype)
         self.spill_events: list[SpillEvent] = []
         self.spilled_elements = 0
         self.inserted_elements = 0
@@ -95,7 +115,7 @@ class HashStorage:
         """
         idx = np.asarray(indices, dtype=np.int64)
         vals = np.asarray(values)
-        if self._op is not None or len(idx) != len(np.unique(idx)):
+        if self._op is not None or not _all_unique(idx):
             return self._insert_sequential(idx, vals)
         self.inserted_elements += len(idx)
         slots = _slot_of(idx, self.n_slots)
@@ -104,32 +124,26 @@ class HashStorage:
         same = keys_at == idx
         # Same-key aggregation: each matching slot appears once (table
         # keys are unique and the packet's indices are unique).
-        hit = np.where(same)[0]
-        self._values[slots[hit]] += vals[hit]
-        # Empty slots: first packet element targeting a slot claims it;
-        # later ones (intra-packet slot collisions) spill.
-        cand = np.where(empty)[0]
-        _u, first_pos = np.unique(slots[cand], return_index=True)
-        winners = cand[first_pos]
-        self._keys[slots[winners]] = idx[winners]
-        self._values[slots[winners]] = vals[winners]
-        losers = np.setdiff1d(cand, winners, assume_unique=True)
-        spill = np.concatenate([np.where(~(empty | same))[0], losers])
-        spill.sort()
-        flushed: list[SpillEvent] = []
-        if len(spill):
-            self._spill_indices.extend(int(i) for i in idx[spill])
-            self._spill_values.extend(vals[spill])
-            self.spilled_elements += len(spill)
-            while len(self._spill_indices) >= self.spill_capacity:
-                flushed.append(self._flush_chunk(self.spill_capacity))
-        self.spill_events.extend(flushed)
-        return flushed
+        self._values[slots[same]] += vals[same]
+        spill_mask = ~(empty | same)
+        cand = np.flatnonzero(empty)
+        if len(cand):
+            # Empty slots: the first packet element targeting a slot
+            # claims it; later ones (intra-packet slot collisions) spill.
+            order = np.argsort(slots[cand], kind="stable")
+            first = _run_starts(slots[cand[order]])
+            winners = cand[order[first]]
+            self._keys[slots[winners]] = idx[winners]
+            self._values[slots[winners]] = vals[winners]
+            spill_mask[cand[order[~first]]] = True
+        if not spill_mask.any():
+            return []
+        return self._spill(idx[spill_mask], vals[spill_mask])
 
     def _insert_sequential(self, idx: np.ndarray, vals: np.ndarray) -> list[SpillEvent]:
-        flushed: list[SpillEvent] = []
         slots = _slot_of(idx, self.n_slots)
-        for i, slot, val in zip(idx, slots, vals):
+        spilled: list[int] = []
+        for pos, (i, slot, val) in enumerate(zip(idx, slots, vals)):
             self.inserted_elements += 1
             key = self._keys[slot]
             if key == -1:
@@ -142,31 +156,34 @@ class HashStorage:
                     acc = self._values[slot : slot + 1]
                     self._op.combine_into(acc, np.asarray([val]))
             else:
-                self._spill_indices.append(int(i))
-                self._spill_values.append(val)
-                self.spilled_elements += 1
-                if len(self._spill_indices) >= self.spill_capacity:
-                    flushed.append(self._flush_spill())
+                spilled.append(pos)
+        if not spilled:
+            return []
+        # Spills never touch the table, so buffering them after the
+        # loop flushes exactly the chunks an element-wise buffer would.
+        return self._spill(idx[spilled], vals[spilled])
+
+    def _spill(self, idx: np.ndarray, vals: np.ndarray) -> list[SpillEvent]:
+        """Append elements (packet order) to the spill buffer; every
+        time it fills, a full buffer leaves as one flush."""
+        self.spilled_elements += len(idx)
+        buf_i = np.concatenate([self._spill_indices, idx])
+        buf_v = np.concatenate(
+            [self._spill_values, vals.astype(self._values.dtype, copy=False)]
+        )
+        cap = self.spill_capacity
+        n_full = len(buf_i) // cap
+        flushed = [
+            SpillEvent(
+                indices=buf_i[k * cap : (k + 1) * cap].astype(np.int32),
+                values=buf_v[k * cap : (k + 1) * cap],
+            )
+            for k in range(n_full)
+        ]
+        self._spill_indices = buf_i[n_full * cap :]
+        self._spill_values = buf_v[n_full * cap :]
         self.spill_events.extend(flushed)
         return flushed
-
-    def _flush_chunk(self, n: int) -> SpillEvent:
-        event = SpillEvent(
-            indices=np.array(self._spill_indices[:n], dtype=np.int32),
-            values=np.array(self._spill_values[:n], dtype=self._values.dtype),
-        )
-        del self._spill_indices[:n]
-        del self._spill_values[:n]
-        return event
-
-    def _flush_spill(self) -> SpillEvent:
-        event = SpillEvent(
-            indices=np.array(self._spill_indices, dtype=np.int32),
-            values=np.array(self._spill_values, dtype=self._values.dtype),
-        )
-        self._spill_indices.clear()
-        self._spill_values.clear()
-        return event
 
     # ------------------------------------------------------------------
     def finalize(self) -> tuple[np.ndarray, np.ndarray, SpillEvent | None]:
@@ -182,26 +199,33 @@ class HashStorage:
         order = np.argsort(indices, kind="stable")
         indices, values = indices[order], values[order]
         residual: SpillEvent | None = None
-        if self._spill_indices:
+        if len(self._spill_indices):
             residual = SpillEvent(
-                indices=np.array(self._spill_indices, dtype=np.int32),
-                values=np.array(self._spill_values, dtype=self._values.dtype),
+                indices=self._spill_indices.astype(np.int32),
+                values=self._spill_values,
             )
             # Residual spilled elements merge into the output where the
             # index already exists, otherwise append (the *next* switch
             # would aggregate them; merging here models the final-hop
-            # host doing it, keeping numerics exact).
-            out = dict(zip(indices.tolist(), values.tolist()))
-            for idx, val in zip(self._spill_indices, self._spill_values):
-                if idx in out:
-                    out[idx] = out[idx] + val
-                else:
-                    out[idx] = val
-            items = sorted(out.items())
-            indices = np.array([k for k, _ in items], dtype=np.int32)
-            values = np.array([v for _, v in items], dtype=self._values.dtype)
-            self._spill_indices.clear()
-            self._spill_values.clear()
+            # host doing it, keeping numerics exact).  Each index folds
+            # its table value first, then its spills in buffer order,
+            # with the storage's operator.
+            all_i = np.concatenate([indices, residual.indices])
+            all_v = np.concatenate([values, residual.values])
+            order = np.argsort(all_i, kind="stable")
+            all_i, all_v = all_i[order], all_v[order]
+            first = _run_starts(all_i)
+            group = np.cumsum(first) - 1
+            indices = all_i[first]
+            values = all_v[first]
+            rest = ~first
+            if self._op is None:
+                np.add.at(values, group[rest], all_v[rest])
+            else:
+                for g, val in zip(group[rest].tolist(), all_v[rest]):
+                    self._op.combine_into(values[g : g + 1], np.asarray([val]))
+            self._spill_indices = self._spill_indices[:0]
+            self._spill_values = self._spill_values[:0]
         return indices, values, residual
 
     # ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for telemetry gauges and counters."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.pspin.telemetry import Counter, DeltaGauge, GaugeSeries, Telemetry
 
@@ -38,6 +39,42 @@ def test_delta_gauge_cache_invalidates_on_new_events():
     assert g.peak == 10.0
     g.add(1.0, 20.0)
     assert g.peak == 30.0
+
+
+def _loop_profile(events):
+    """Reference: the sequential walk over stably time-sorted events."""
+    value = peak = weighted = last_t = 0.0
+    for t, d in sorted(events, key=lambda e: e[0]):
+        weighted += value * (t - last_t)
+        last_t = t
+        value += d
+        peak = max(peak, value)
+    return peak, (weighted / last_t if last_t > 0 else 0.0), value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    events=st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(0, 50).map(float),
+                st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+            ),
+            st.one_of(
+                st.integers(-4096, 4096),
+                st.floats(-1e5, 1e5, allow_nan=False, allow_infinity=False),
+            ),
+        ),
+        max_size=60,
+    )
+)
+def test_property_delta_gauge_matches_sequential_walk(events):
+    """The vectorized profile is bitwise the sequential walk: peak, time-
+    weighted mean and final value, ties in time kept in call order."""
+    g = DeltaGauge("wm")
+    for t, d in events:
+        g.add(t, d)
+    assert (g.peak, g.mean(), g.current) == _loop_profile(events)
 
 
 def test_counter_add():

@@ -146,3 +146,66 @@ def test_property_array_matches_dense_sum(data):
     got = np.zeros(32)
     got[idx] = vals
     np.testing.assert_allclose(got, dense)
+
+
+def test_hash_finalize_folds_residual_spill_with_operator():
+    """Residual spills merge with the storage's operator, not with +."""
+    from repro.core.ops import MAX
+
+    h = HashStorage(n_slots=1, dtype="float32", spill_capacity=8, op=MAX)
+    h.insert(np.array([5]), np.array([1.0], dtype=np.float32))
+    h.insert(np.array([7]), np.array([3.0], dtype=np.float32))
+    h.insert(np.array([7]), np.array([4.0], dtype=np.float32))
+    idx, vals, residual = h.finalize()
+    assert residual is not None and residual.n_elements == 2
+    assert dict(zip(idx.tolist(), vals.tolist())) == {5: 1.0, 7: 4.0}
+
+
+def test_array_custom_operator_combines_repeated_index_in_one_packet():
+    from repro.core.ops import MAX
+
+    a = ArrayStorage(span=4, dtype="float32", op=MAX)
+    a.insert(np.array([2, 2]), np.array([5.0, 1.0], dtype=np.float32))
+    idx, vals, _ = a.finalize()
+    assert dict(zip(idx.tolist(), vals.tolist())) == {2: 5.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    packets=st.lists(
+        st.tuples(
+            st.sets(st.integers(0, 200), max_size=40),
+            st.booleans(),
+            st.integers(0, 2**31 - 1),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    n_slots=st.sampled_from([1, 3, 16, 64, 512]),
+    spill_capacity=st.sampled_from([1, 2, 5, 32]),
+)
+def test_property_vectorized_insert_matches_sequential(packets, n_slots, spill_capacity):
+    """For duplicate-free packets, sorted or not, the vectorized insert
+    is element for element the sequential one: table, spill events,
+    spill buffer and counters."""
+    vec = HashStorage(n_slots=n_slots, dtype="float32", spill_capacity=spill_capacity)
+    seq = HashStorage(n_slots=n_slots, dtype="float32", spill_capacity=spill_capacity)
+    for index_set, ascending, seed in packets:
+        idx = np.array(sorted(index_set), dtype=np.int32)
+        if not ascending:
+            idx = np.random.default_rng(seed).permutation(idx)
+        vals = np.random.default_rng(seed).standard_normal(len(idx)).astype(np.float32)
+        got = vec.insert(idx, vals)
+        want = seq._insert_sequential(idx.astype(np.int64), vals)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.indices.dtype == b.indices.dtype == np.int32
+            assert np.array_equal(a.indices, b.indices)
+            assert a.values.tobytes() == b.values.tobytes()
+    assert np.array_equal(vec._keys, seq._keys)
+    assert vec._values.tobytes() == seq._values.tobytes()
+    assert np.array_equal(vec._spill_indices, seq._spill_indices)
+    assert vec._spill_values.tobytes() == seq._spill_values.tobytes()
+    assert vec.spilled_elements == seq.spilled_elements
+    assert vec.inserted_elements == seq.inserted_elements
+    assert len(vec.spill_events) == len(seq.spill_events)
